@@ -10,7 +10,8 @@ Operators are Python iterators over :class:`BindingTuple` (variable ->
 model value maps).  The operator set covers both relational shapes
 (scan/select/project/join/group) and the XML-specific features the
 paper's conclusion lists: document order (Sort over document positions),
-tree-pattern navigation (:class:`PatternMatch`, :class:`Navigate`),
+tree-pattern navigation (:class:`PatternMatch`, :class:`Navigate`, and
+:class:`ViewMatch` for a pattern over a mediated view's binding rows),
 element construction with grouping (:class:`Construct`) and recursion
 (:class:`FixPoint`).
 """
@@ -67,6 +68,7 @@ from repro.algebra.plan import Plan
 from repro.algebra.recursion import FixPoint
 from repro.algebra.scans import BindingsSource, CallbackScan, CollectionScan
 from repro.algebra.tuples import BindingTuple, EMPTY_TUPLE
+from repro.algebra.viewmatch import ViewMatch
 
 __all__ = [
     "Aggregate",
@@ -109,6 +111,7 @@ __all__ = [
     "TopK",
     "TreePattern",
     "Union",
+    "ViewMatch",
     "batches_from_rows",
     "build_elements",
     "dedup_rows",

@@ -12,6 +12,15 @@ from repro.xmldm.nodes import Element
 from repro.xmldm.path import Path
 
 
+def match_anywhere(
+    pattern: TreePattern, element: Element, base: BindingTuple
+) -> Iterator[BindingTuple]:
+    """Match ``pattern`` at any depth below (and including) ``element``."""
+    tag = None if pattern.tag == "*" else pattern.tag
+    for candidate in element.descendants_or_self(tag):
+        yield from match_pattern(pattern, candidate, base)
+
+
 class PatternMatch(Operator):
     """Match a tree pattern against the value bound to ``context_var``.
 
@@ -35,9 +44,7 @@ class PatternMatch(Operator):
             if isinstance(context, Document):
                 context = context.root
             if isinstance(context, Element):
-                tag = None if self.pattern.tag == "*" else self.pattern.tag
-                for candidate in context.descendants_or_self(tag):
-                    yield from match_pattern(self.pattern, candidate, row)
+                yield from match_anywhere(self.pattern, context, row)
             else:
                 yield from match_pattern(self.pattern, context, row)
 

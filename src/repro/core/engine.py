@@ -18,8 +18,10 @@ from repro.errors import (
     QueryRejected,
     SourceUnavailableError,
 )
+from repro.algebra.construct import build_elements
 from repro.algebra.tuples import BindingTuple
 from repro.algebra.vector import ColumnStatsRepository
+from repro.algebra.viewmatch import ViewRows
 from repro.materialize.incremental import IncrementalMaterializer
 from repro.materialize.manager import MaterializationManager
 from repro.materialize.matching import access_key
@@ -53,6 +55,7 @@ from repro.optimizer.planner import PlanBuilder, independent_fragment_units
 from repro.query import ast as qast
 from repro.query.binder import bind_query
 from repro.query.parser import parse_query
+from repro.query.translate import template_to_construct
 from repro.resilience.admission import Admission, AdmissionController, Priority
 from repro.resilience.executor import ResiliencePolicy, ResilientExecutor
 from repro.resilience.fallback import FallbackRegistry
@@ -838,42 +841,66 @@ class _ExecutionContext:
             return None
         return repo.table(access_key(fragment))
 
-    def fetch_view(self, view: ViewDef) -> list[Element]:
-        if view.name in self._view_memo:
-            return self._view_memo[view.name]
-        with self.engine.tracer.span("view", name=view.name) as span:
-            if self.engine.materializer is not None:
-                served = self.engine.materializer.serve_view(view.name)
-                if served is not None:
-                    self.stats.fragments_from_cache += 1
-                    self._view_memo[view.name] = served
-                    info = self.engine.materializer.last_serve
-                    detail = ""
-                    maintained = (
-                        self.engine.incremental.views.get(view.name)
-                        if self.engine.incremental is not None else None
+    def fetch_view(self, view: ViewDef, rows: bool = False) -> list:
+        """Serve one view reference; every view reference enters here,
+        and a view runs at most once per execution.
+
+        The answer is the view's elements — a fresh materialized copy,
+        else the view's own query run as a sub-query — unless ``rows``
+        says the caller can match the view's binding rows directly and
+        no copy is fresh: then the view's body runs to
+        :class:`~repro.algebra.viewmatch.ViewRows` and no element is
+        built.  Elements asked for after rows are constructed from them.
+        """
+        served = self._view_memo.get(view.name)
+        if served is None:
+            with self.engine.tracer.span("view", name=view.name) as span:
+                served = self._serve_materialized_view(view)
+                served_from = "materialized"
+                if served is None:
+                    result = self.engine._execute(
+                        view, self.policy, self.required_sources,
+                        parent=self, view_rows=rows,
                     )
-                    if maintained is not None:
-                        detail = "high-water " + ", ".join(
-                            f"{src}@{seq}" for src, seq
-                            in sorted(maintained.high_water.items())
-                        )
-                    self.record_origin(
-                        view.name, ORIGIN_VIEW, len(served),
-                        (self.engine.clock.now - info["loaded_at"]
-                         if info is not None else 0.0),
-                        detail=detail,
-                    )
-                    if span.recording:
-                        span.set(served_from="materialized",
-                                 rows=len(served))
-                    return served
-            result = self.engine._execute(view.query, self.policy,
-                                          self.required_sources, parent=self)
-            self._view_memo[view.name] = result.elements
-            if span.recording:
-                span.set(served_from="sub_query", rows=len(result.elements))
-            return result.elements
+                    served = ViewRows(result.elements) if rows else result.elements
+                    served_from = "rows" if rows else "sub_query"
+                if span.recording:
+                    span.set(served_from=served_from, rows=len(served))
+            self._view_memo[view.name] = served
+        if isinstance(served, ViewRows) and not rows:
+            served = self._view_memo[view.name] = build_elements(
+                template_to_construct(view.query.construct), served
+            )
+        return served
+
+    def _serve_materialized_view(self, view: ViewDef) -> list[Element] | None:
+        """The view's fresh materialized copy, accounted for, or None."""
+        materializer = self.engine.materializer
+        served = (
+            materializer.serve_view(view.name)
+            if materializer is not None else None
+        )
+        if served is None:
+            return None
+        self.stats.fragments_from_cache += 1
+        info = materializer.last_serve
+        detail = ""
+        maintained = (
+            self.engine.incremental.views.get(view.name)
+            if self.engine.incremental is not None else None
+        )
+        if maintained is not None:
+            detail = "high-water " + ", ".join(
+                f"{src}@{seq}" for src, seq
+                in sorted(maintained.high_water.items())
+            )
+        self.record_origin(
+            view.name, ORIGIN_VIEW, len(served),
+            (self.engine.clock.now - info["loaded_at"]
+             if info is not None else 0.0),
+            detail=detail,
+        )
+        return served
 
 
 class NimbleEngine:
@@ -1035,7 +1062,7 @@ class NimbleEngine:
             raise ValueError("plan_cache_size must be >= 0")
         self.plan_cache_size = plan_cache_size
         #: query text -> (catalog epoch, compiled DecomposedQuery), LRU
-        self._plan_cache: OrderedDict[str, tuple[Any, DecomposedQuery]] = (
+        self._plan_cache: OrderedDict[Any, tuple[Any, DecomposedQuery]] = (
             OrderedDict()
         )
         self.plan_cache_hits = 0
@@ -1313,7 +1340,7 @@ class NimbleEngine:
 
         def fetch() -> list[Element]:
             return self._execute(
-                resolved.query, PartialResultPolicy.FAIL, frozenset()
+                resolved, PartialResultPolicy.FAIL, frozenset()
             ).elements
 
         return self.materializer.materialize_view(name, fetch, policy)
@@ -1327,7 +1354,7 @@ class NimbleEngine:
             resolved = self.catalog.resolve(name)
             assert isinstance(resolved, ViewDef)
             return self._execute(
-                resolved.query, PartialResultPolicy.FAIL, frozenset()
+                resolved, PartialResultPolicy.FAIL, frozenset()
             ).elements
 
         return self.materializer.refresh_stale_views(fetch)
@@ -1505,36 +1532,45 @@ class NimbleEngine:
             return None
         return self.column_stats.column(access_key(fragment), var)
 
-    def _compile(self, query: str | qast.Query,
+    def _compile(self, query: str | qast.Query | ViewDef,
                  stats: EngineStats | None = None) -> DecomposedQuery:
         """Parse→bind→decompose, cached per query text + catalog epoch.
 
-        The cache is keyed by the literal query text and consulted
-        *before* parsing — a cached query costs one dict lookup, no
+        The cache is keyed by the literal query text — or, for a
+        mediated view's own query, by the view's name — and consulted
+        *before* parsing: a cached query costs one dict lookup, no
         re-parse, no re-plan.  An entry is only valid while the
         catalog's version epoch (bumped on any source, mapping, schema,
         or view registration) matches the one it was compiled under.
-        ASTs passed directly bypass the cache.  The compiled
+        Other ASTs passed directly bypass the cache.  The compiled
         :class:`DecomposedQuery` is immutable after decomposition, so
         reuse across executions is safe — the plan builder constructs
         fresh operators every run.
         """
-        text = query if isinstance(query, str) else None
+        key: Any = query if isinstance(query, str) else None
+        view_query = None
+        if isinstance(query, ViewDef):
+            key = ("view", query.name)
+            query = view_query = query.query
         epoch = self.catalog.version
-        caching = text is not None and self.plan_cache_size > 0
+        caching = key is not None and self.plan_cache_size > 0
         if caching:
-            entry = self._plan_cache.get(text)
-            if entry is not None and entry[0] == epoch:
-                self._plan_cache.move_to_end(text)
+            entry = self._plan_cache.get(key)
+            if (
+                entry is not None and entry[0] == epoch
+                # a name may be reused: the entry must be this definition's
+                and (view_query is None or entry[1].bound.query is view_query)
+            ):
+                self._plan_cache.move_to_end(key)
                 self.plan_cache_hits += 1
                 self.tracer.event("plan_cache_hit")
                 if stats is not None:
                     stats.plan_cache_hits += 1
                 return entry[1]
         tracer = self.tracer
-        if text is not None:
+        if isinstance(query, str):
             with tracer.span("parse"):
-                query = parse_query(text)
+                query = parse_query(query)
         with tracer.span("bind"):
             bound = bind_query(query)
         with tracer.span("decompose"):
@@ -1542,21 +1578,27 @@ class NimbleEngine:
                                    projection=self.projection_pushdown)
         if caching:
             self.plan_cache_misses += 1
-            self._plan_cache[text] = (epoch, decomposed)
-            self._plan_cache.move_to_end(text)
+            self._plan_cache[key] = (epoch, decomposed)
+            self._plan_cache.move_to_end(key)
             while len(self._plan_cache) > self.plan_cache_size:
                 self._plan_cache.popitem(last=False)
         return decomposed
 
     def _execute(
         self,
-        query: str | qast.Query,
+        query: str | qast.Query | ViewDef,
         policy: PartialResultPolicy,
         required_sources: frozenset[str],
         parent: _ExecutionContext | None = None,
         analyze: bool = False,
         priority: Priority = Priority.NORMAL,
+        view_rows: bool = False,
     ) -> QueryResult:
+        """Compile, plan and run one query (a ViewDef: the view's own).
+
+        ``view_rows`` stops short of CONSTRUCT: ``elements`` of the
+        result then holds the ordered binding rows instead.
+        """
         self.queries_run += 1
         context = _ExecutionContext(
             self, policy, required_sources,
@@ -1570,7 +1612,9 @@ class NimbleEngine:
                 root.set(query_hash=query_hash(text))
             decomposed = self._compile(query, stats=context.stats)
             with tracer.span("plan"):
-                plan = self.builder.build(decomposed, context)
+                plan = self.builder.build(
+                    decomposed, context, None if view_rows else "result"
+                )
             if analyze:
                 plan.bind_analyze(self.clock)
             elif self.vectorized:

@@ -71,7 +71,7 @@ class _LocalContext:
     def fetch_fragment_batch(self, unit, param_sets):
         raise MediationError("dependent fragments are not maintained")
 
-    def fetch_view(self, view):
+    def fetch_view(self, view, rows=False):
         raise MediationError("views over views are not maintained")
 
 

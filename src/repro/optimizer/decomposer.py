@@ -12,15 +12,17 @@ rest as residual work for the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Union
 
+from repro.algebra.viewmatch import FusedMatch, fuse
 from repro.errors import PlanningError
 from repro.mediator.catalog import Catalog, DocumentTarget
 from repro.mediator.mapping import RelationMapping
 from repro.mediator.schema import ViewDef
 from repro.query import ast as qast
 from repro.query.binder import BoundQuery
-from repro.query.translate import pattern_to_tree
+from repro.query.translate import pattern_to_tree, template_to_construct
 from repro.sources.base import Access, DataSource, Fragment
 from repro.sources.webservice import WebServiceSource
 
@@ -46,6 +48,19 @@ class ViewUnit:
     clause: qast.PatternClause
     view: ViewDef
     variables: tuple[str, ...]
+
+    @cached_property
+    def fused(self) -> FusedMatch | None:
+        """The view's CONSTRUCT fused with this clause's pattern, compiled
+        once per compiled query; None when only the view's elements can
+        answer the clause (LIMIT counts elements, so it needs them too)."""
+        query = self.view.query
+        if query.limit is not None:
+            return None
+        return fuse(
+            template_to_construct(query.construct),
+            pattern_to_tree(self.clause.pattern),
+        )
 
     def describe(self) -> str:
         return f"View({self.view.name}; vars={','.join(self.variables)})"

@@ -19,6 +19,7 @@ from repro.algebra.joins import BatchedDependentJoin, DependentJoin
 from repro.algebra.operators import Limit, fuse_sort_limit
 from repro.algebra.tuples import BindingTuple
 from repro.algebra.vector import RecordBatch, shred_records
+from repro.algebra.viewmatch import ViewMatch
 from repro.errors import PlanningError
 from repro.mediator.schema import ViewDef
 from repro.optimizer.costs import CostModel
@@ -40,7 +41,7 @@ class ExecutionContext(Protocol):
         self, unit: FragmentUnit, param_sets: list[dict[str, Any]]
     ) -> list[list[Record]]: ...
 
-    def fetch_view(self, view: ViewDef) -> list[Any]: ...
+    def fetch_view(self, view: ViewDef, rows: bool = False) -> list[Any]: ...
 
 
 class FragmentScan(Operator):
@@ -135,8 +136,10 @@ class PlanBuilder:
         self,
         decomposed: DecomposedQuery,
         context: ExecutionContext,
-        output_var: str = "result",
+        output_var: str | None = "result",
     ) -> Plan:
+        """The whole query; with ``output_var=None`` the ordered binding
+        rows its CONSTRUCT would consume (a view answered as rows)."""
         query = decomposed.bound.query
         root = self.build_binding_tree(decomposed, context)
         if query.order_by:
@@ -145,6 +148,10 @@ class PlanBuilder:
                 for spec in query.order_by
             ]
             root = Sort(root, keys, label=", ".join(str(s.expr) for s in query.order_by))
+        if output_var is None:
+            if query.limit is not None:
+                raise PlanningError("LIMIT counts elements, not binding rows")
+            return Plan(root)
         root = Construct(root, template_to_construct(query.construct), output_var)
         if query.limit is not None:
             root = Limit(root, query.limit)
@@ -279,6 +286,14 @@ class PlanBuilder:
                 unit.fragment, unit.source
             )
             return scan
+        # a fresh materialized copy is stored as elements, so is anything
+        # the fused match cannot express: construct, then match
+        if unit.fused is not None and self._loaded_view_size(unit.view.name) is None:
+            return ViewMatch(
+                unit.view.name,
+                lambda view=unit.view: context.fetch_view(view, rows=True),
+                unit.fused,
+            )
         context_var = f"__view_{unit.view.name}"
         scan = CallbackScan(
             context_var,

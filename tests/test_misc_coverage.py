@@ -194,7 +194,7 @@ class TestEngineCorners:
         catalog.add_schema(schema)
         engine = NimbleEngine(catalog)
         plan = engine.explain('WHERE <x>$n</x> IN "v" CONSTRUCT <r>$n</r>')
-        assert "CallbackScan($__view_v" in plan
+        assert "ViewMatch(v ~ <x $n>)" in plan
 
     def test_flwor_empty_source(self, catalog):
         engine = NimbleEngine(catalog)
