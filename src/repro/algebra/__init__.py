@@ -40,6 +40,7 @@ from repro.algebra.operators import (
     TopK,
     Union,
     fuse_sort_limit,
+    sort_rows,
 )
 from repro.algebra.vector import (
     MISSING,
@@ -58,7 +59,6 @@ from repro.algebra.merge import (
     PartialGroups,
     dedup_rows,
     merge_sorted,
-    sort_rows,
     topk_rows,
 )
 from repro.algebra.grouping import Aggregate, AggregateSpec, GroupBy

@@ -28,7 +28,6 @@ ulp — the classic distributed-aggregation caveat.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Any, Callable, Sequence
 
 from repro.algebra.construct import (
@@ -38,11 +37,10 @@ from repro.algebra.construct import (
     _numeric_or_self,
     build_elements,
 )
+from repro.algebra.operators import SortKeys, sort_rows
 from repro.algebra.tuples import BindingTuple
 from repro.xmldm.nodes import Element
 from repro.xmldm.values import NULL, Null, _comparison_key, compare_values
-
-SortKeys = Sequence[tuple[Callable[[BindingTuple], Any], bool]]
 
 
 def _aggregate_only(template: ConstructTemplate) -> bool:
@@ -97,7 +95,7 @@ def group_key(row: BindingTuple, group_vars: Sequence[str]) -> tuple:
 
 
 def compare_rows(keys: SortKeys) -> Callable[[BindingTuple, BindingTuple], int]:
-    """The same comparator :class:`~repro.algebra.operators.Sort` uses."""
+    """A comparator for the order :func:`sort_rows` (and Sort) produce."""
 
     def compare(a: BindingTuple, b: BindingTuple) -> int:
         for fn, descending in keys:
@@ -107,13 +105,6 @@ def compare_rows(keys: SortKeys) -> Callable[[BindingTuple, BindingTuple], int]:
         return 0
 
     return compare
-
-
-def sort_rows(rows: list[BindingTuple], keys: SortKeys) -> list[BindingTuple]:
-    """Stable local sort, bit-identical to the Sort operator."""
-    ordered = list(rows)
-    ordered.sort(key=cmp_to_key(compare_rows(keys)))
-    return ordered
 
 
 def merge_sorted(

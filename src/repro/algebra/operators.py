@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
-from functools import cmp_to_key
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.algebra.tuples import BindingTuple
@@ -15,10 +13,11 @@ from repro.algebra.vector import (
     batches_from_rows,
     gather,
 )
-from repro.xmldm.values import compare_values, values_equal
+from repro.xmldm.values import _comparison_key, values_equal
 
 Predicate = Callable[[BindingTuple], bool]
 ValueFn = Callable[[BindingTuple], Any]
+SortKeys = Sequence[tuple[ValueFn, bool]]  # (value function, descending?)
 
 
 class Operator:
@@ -342,36 +341,48 @@ class Union(Operator):
         return f"Union({len(self.children)})"
 
 
+def stable_order(
+    count: int, key_columns: Sequence[Sequence[Any]], descending: Sequence[bool]
+) -> list[int]:
+    """Positions ``0..count-1`` in ORDER BY order.
+
+    Every key value is reduced to its place in the model's total order
+    once, not once per comparison; then one stable native sort per key,
+    last key first, ``reverse`` for DESC.  A stable sort keeps ties in
+    arrival order in either direction, so the passes compose to the
+    lexicographic order over (key 1, key 2, ...) with arrival order last.
+    """
+    order = list(range(count))
+    for values, reverse in zip(reversed(key_columns), reversed(descending)):
+        decorated = [_comparison_key(value) for value in values]
+        order.sort(key=decorated.__getitem__, reverse=reverse)
+    return order
+
+
+def sort_rows(rows: list[BindingTuple], keys: SortKeys) -> list[BindingTuple]:
+    """Stable sort of materialized rows by ``keys``."""
+    order = stable_order(
+        len(rows),
+        [[fn(row) for row in rows] for fn, _ in keys],
+        [descending for _, descending in keys],
+    )
+    return [rows[position] for position in order]
+
+
 class Sort(Operator):
     """Sort by key expressions using the model's total value order."""
 
-    def __init__(
-        self,
-        child: Operator,
-        keys: Sequence[tuple[ValueFn, bool]],
-        label: str = "",
-    ):
-        """``keys`` is a list of (value function, descending?) pairs."""
+    def __init__(self, child: Operator, keys: SortKeys, label: str = ""):
         super().__init__(child)
         self.keys = list(keys)
         self.label = label
 
     def _produce(self) -> Iterator[BindingTuple]:
-        rows = list(self.children[0])
-
-        def compare(a: BindingTuple, b: BindingTuple) -> int:
-            for fn, descending in self.keys:
-                result = compare_values(fn(a), fn(b))
-                if result != 0:
-                    return -result if descending else result
-            return 0
-
-        rows.sort(key=cmp_to_key(compare))
-        yield from rows
+        yield from sort_rows(list(self.children[0]), self.keys)
 
     def _produce_batches(self) -> Iterator[RecordBatch]:
-        # materialize all live (batch, row) pairs, precompute every key
-        # column once, stable-sort a global permutation, then gather
+        # materialize all live (batch, row) pairs, evaluate every key
+        # column once, order a global permutation, then gather
         sources: list[tuple[RecordBatch, int]] = []
         for batch in self.children[0].batches():
             for index in batch.live_indices():
@@ -385,15 +396,10 @@ class Sort(Operator):
                 cursor.index = index
                 values.append(fn(cursor))
             key_columns.append(values)
-
-        def compare(a: int, b: int) -> int:
-            for (_fn, descending), values in zip(self.keys, key_columns):
-                result = compare_values(values[a], values[b])
-                if result != 0:
-                    return -result if descending else result
-            return 0
-
-        order = sorted(range(len(sources)), key=cmp_to_key(compare))
+        order = stable_order(
+            len(sources), key_columns,
+            [descending for _, descending in self.keys],
+        )
         yield from gather(sources, order, self._batch_rows or DEFAULT_BATCH_ROWS)
 
     def describe(self) -> str:
@@ -437,22 +443,14 @@ class Limit(Operator):
 
 
 class TopK(Operator):
-    """Fused Sort + Limit: keep the top ``count`` rows by sort key.
+    """Fused Sort + Limit: the first ``count`` rows in sort order.
 
-    Maintains a bounded heap instead of materializing and fully sorting
-    the input — O(n log k) comparisons and O(k) memory.  Output order is
-    bit-identical to ``Limit(Sort(child, keys), count)``: the stable
-    sort's tie-breaking (earlier input rows first) is reproduced by
-    ranking ties on arrival index.
+    Output is bit-identical to ``Limit(Sort(child, keys), count)``,
+    ties included; the input is sorted on its decorated keys and cut.
     """
 
-    def __init__(
-        self,
-        child: Operator,
-        keys: Sequence[tuple[ValueFn, bool]],
-        count: int,
-        label: str = "",
-    ):
+    def __init__(self, child: Operator, keys: SortKeys, count: int,
+                 label: str = ""):
         super().__init__(child)
         if count < 0:
             raise ValueError("limit must be non-negative")
@@ -460,31 +458,10 @@ class TopK(Operator):
         self.count = count
         self.label = label
 
-    def _compare(self, a: BindingTuple, b: BindingTuple) -> int:
-        for fn, descending in self.keys:
-            result = compare_values(fn(a), fn(b))
-            if result != 0:
-                return -result if descending else result
-        return 0
-
     def _produce(self) -> Iterator[BindingTuple]:
         if self.count == 0:
             return
-        forward = cmp_to_key(self._compare)
-        inverted = cmp_to_key(lambda a, b: -self._compare(a, b))
-        # min-heap of (inverted key, -arrival): the root is the row a
-        # stable sort-then-limit would discard first — the largest key,
-        # ties broken towards the latest arrival
-        heap: list[tuple[Any, int, BindingTuple]] = []
-        for arrival, row in enumerate(self.children[0]):
-            entry = (inverted(row), -arrival, row)
-            if len(heap) < self.count:
-                heapq.heappush(heap, entry)
-            else:
-                heapq.heappushpop(heap, entry)
-        kept = sorted(heap, key=lambda entry: (forward(entry[2]), -entry[1]))
-        for _key, _arrival, row in kept:
-            yield row
+        yield from sort_rows(list(self.children[0]), self.keys)[:self.count]
 
     def describe(self) -> str:
         return f"TopK({self.count}, {self.label or len(self.keys)})"
