@@ -46,13 +46,14 @@ from repro.algebra.construct import (
     TemplateVar,
     build_elements,
 )
+from repro.algebra.merge import group_key, template_group_vars
 from repro.algebra.navigate import match_anywhere
 from repro.algebra.operators import Operator
 from repro.algebra.pattern import TreePattern
 from repro.algebra.tuples import EMPTY_TUPLE, BindingTuple
 from repro.xmldm.nodes import Element
 from repro.xmldm.schema import atomic_to_text
-from repro.xmldm.values import NULL, Collection, Record, _comparison_key
+from repro.xmldm.values import NULL, Collection, Record
 
 _STRUCTURED = (Element, Record, Collection)
 
@@ -150,7 +151,7 @@ def _partition(rows: Sequence[BindingTuple], group_vars: tuple[str, ...]):
         return (rows,)
     groups: dict[tuple, list[BindingTuple]] = {}
     for row in rows:
-        key = tuple(_comparison_key(row.get(var, NULL)) for var in group_vars)
+        key = group_key(row, group_vars)
         members = groups.get(key)
         if members is None:
             groups[key] = [row]
@@ -216,7 +217,7 @@ def _compile(template: ConstructTemplate, pattern: TreePattern,
         ))
     index = len(steps)
     steps.append(_Step(
-        parent, template.direct_vars() or template.all_vars(), tuple(bindings),
+        parent, template_group_vars(template), tuple(bindings),
     ))
     for child in pattern.children:
         if child.descendant or child.tag == "*":
@@ -289,6 +290,7 @@ class ViewMatch(Operator):
     def reset_counters(self) -> None:
         super().reset_counters()
         self._served = 0
+        self._served_as = ""
 
     def analyze_stats(self) -> dict[str, Any]:
         stats = super().analyze_stats()

@@ -862,7 +862,7 @@ class _ExecutionContext:
                         view, self.policy, self.required_sources,
                         parent=self, view_rows=rows,
                     )
-                    served = ViewRows(result.elements) if rows else result.elements
+                    served = result.elements
                     served_from = "rows" if rows else "sub_query"
                 if span.recording:
                     span.set(served_from=served_from, rows=len(served))
@@ -1597,7 +1597,7 @@ class NimbleEngine:
         """Compile, plan and run one query (a ViewDef: the view's own).
 
         ``view_rows`` stops short of CONSTRUCT: ``elements`` of the
-        result then holds the ordered binding rows instead.
+        result is then the :class:`ViewRows` CONSTRUCT would consume.
         """
         self.queries_run += 1
         context = _ExecutionContext(
@@ -1626,6 +1626,8 @@ class NimbleEngine:
             with tracer.span("execute"):
                 context.prefetch(independent_fragment_units(decomposed))
                 elements = plan.results()
+                if view_rows:
+                    elements = ViewRows(elements)
             context.stats.elapsed_virtual_ms = self.clock.now - started_virtual
             context.stats.elapsed_wall_ms = (
                 (time.perf_counter() - started_wall) * 1000
