@@ -27,6 +27,12 @@ from typing import Any, Mapping
 
 from repro.algebra.tuples import BindingTuple
 from repro.cache.keys import result_key
+from repro.cdc.scope import (
+    EXCLUDED,
+    PATCHED,
+    KeyedRecords,
+    apply_to_fragment,
+)
 from repro.materialize.matching import access_key, matches, project_records
 from repro.materialize.policy import RefreshPolicy
 from repro.observability.tracing import NULL_TRACER, Tracer
@@ -74,7 +80,7 @@ class CacheEntry:
     key: str
     fragment: Fragment
     parameterized: bool
-    records: list[Record]
+    records: KeyedRecords
     loaded_at: float
     epoch: Any
     policy: RefreshPolicy
@@ -140,6 +146,10 @@ class FragmentResultCache:
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         #: access_key -> entry keys, for containment scans (param-less only)
         self._by_access: dict[str, list[str]] = {}
+        #: (source, relation) -> entry keys reading it, for change scoping
+        self._by_relation: dict[tuple[str, str], dict[str, None]] = {}
+        #: source -> live entry count
+        self._source_entries: dict[str, int] = {}
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -299,7 +309,7 @@ class FragmentResultCache:
             key=key,
             fragment=fragment,
             parameterized=bool(params) or bool(fragment.input_vars),
-            records=list(records),
+            records=KeyedRecords(list(records)),
             loaded_at=self.clock.now,
             epoch=epoch,
             policy=self.policies.get(fragment.source, self.default_policy),
@@ -308,6 +318,10 @@ class FragmentResultCache:
         self._entries[key] = entry
         self.current_bytes += size
         self.insertions += 1
+        source = fragment.source
+        self._source_entries[source] = self._source_entries.get(source, 0) + 1
+        for relation in {access.relation for access in fragment.accesses}:
+            self._by_relation.setdefault((source, relation), {})[key] = None
         if not entry.parameterized:
             self._by_access.setdefault(self._akey(fragment), []).append(key)
         evicted = 0
@@ -330,72 +344,54 @@ class FragmentResultCache:
             self._drop(key)
         return len(doomed)
 
-    def apply_change(self, change, key_field: str | None,
-                     patch: bool = True) -> tuple[int, int, int]:
+    def apply_change(self, change,
+                     key_field: str | None) -> tuple[int, int, int]:
         """Scoped invalidation: touch only entries the change can reach.
 
         Replaces the old epoch-bump story (every write killed every
-        entry) with a per-entry decision:
+        entry) with :func:`repro.cdc.scope.apply_to_fragment`'s per-entry
+        decision:
 
         * a different relation, or pushed conditions that provably
-          exclude the changed key (:func:`repro.cdc.scope.key_affected`)
-          — **retained**, untouched;
-        * a patchable shape (:func:`repro.cdc.scope.fragment_patch`) —
-          records **patched** in place, sizes and ``loaded_at``
-          refreshed;
+          exclude the changed key — **retained**, untouched;
+        * a patchable shape — records **patched** in place, sizes and
+          ``loaded_at`` refreshed;
         * everything else (resets, parameterized entries, flip-ins) —
           **evicted**.
 
-        Returns ``(patched, evicted, retained)`` entry counts.
+        Costs the entries over the changed relation and the records of
+        the changed key, never the entries' size: sizes move by the
+        ``record_bytes`` of what the patch removed and added.  Returns
+        ``(patched, evicted, retained)`` entry counts.
         """
-        from repro.cdc.scope import (
-            change_key_var,
-            fragment_patch,
-            key_affected,
-            patch_records,
-        )
-
-        patched = evicted = retained = 0
-        for key in list(self._entries):
-            entry = self._entries.get(key)
-            if entry is None or entry.fragment.source != change.source:
-                continue
-            fragment = entry.fragment
-            if all(
-                access.relation != change.relation
-                for access in fragment.accesses
-            ):
-                retained += 1
-                continue
-            if change.op != "reset" and key_field is not None:
-                key_var = change_key_var(fragment, change.relation, key_field)
-                if key_var is not None and not key_affected(
-                    fragment.conditions, key_var, change.key
-                ):
-                    retained += 1
-                    self.tracer.event("cache_change_excluded",
-                                      source=change.source, key=change.key)
-                    continue
-            applied = None
-            if patch and change.op != "reset" and key_field is not None:
-                plan = fragment_patch(fragment, change, key_field)
-                if plan is not None:
-                    applied = patch_records(entry.records, plan)
-            if applied is not None:
-                size = estimate_result_bytes(applied)
-                self.current_bytes += size - entry.size_bytes
-                entry.records = applied
-                entry.size_bytes = size
+        reading = self._by_relation.get((change.source, change.relation), ())
+        patched = evicted = 0
+        # entries over the source that read other relations only
+        retained = self._source_entries.get(change.source, 0) - len(reading)
+        for key in list(reading):
+            entry = self._entries[key]
+            decision, removed, added = apply_to_fragment(
+                entry.fragment, entry.records, change, key_field
+            )
+            if decision == PATCHED:
+                grown = (sum(map(record_bytes, added))
+                         - sum(map(record_bytes, removed)))
+                entry.size_bytes += grown
+                self.current_bytes += grown
                 entry.loaded_at = self.clock.now
                 patched += 1
                 self.tracer.event("cache_change_patched",
                                   source=change.source, key=change.key,
-                                  rows=len(applied))
-                continue
-            self._drop(key)
-            evicted += 1
-            self.tracer.event("cache_change_evicted", source=change.source,
-                              key=change.key)
+                                  rows=len(entry.records))
+            elif decision == EXCLUDED:
+                retained += 1
+                self.tracer.event("cache_change_excluded",
+                                  source=change.source, key=change.key)
+            else:
+                self._drop(key)
+                evicted += 1
+                self.tracer.event("cache_change_evicted",
+                                  source=change.source, key=change.key)
         while self.current_bytes > self.max_bytes and self._entries:
             oldest_key = next(iter(self._entries))
             self._drop(oldest_key)
@@ -405,6 +401,8 @@ class FragmentResultCache:
     def clear(self) -> None:
         self._entries.clear()
         self._by_access.clear()
+        self._by_relation.clear()
+        self._source_entries.clear()
         self.current_bytes = 0
 
     # -- internals -----------------------------------------------------------
@@ -417,6 +415,13 @@ class FragmentResultCache:
         if entry is None:
             return
         self.current_bytes -= entry.size_bytes
+        source = entry.fragment.source
+        self._source_entries[source] -= 1
+        for relation in {a.relation for a in entry.fragment.accesses}:
+            readers = self._by_relation[source, relation]
+            del readers[key]
+            if not readers:
+                del self._by_relation[source, relation]
         if not entry.parameterized:
             siblings = self._by_access.get(self._akey(entry.fragment))
             if siblings is not None:
@@ -434,12 +439,10 @@ class FragmentResultCache:
 
     def entries_by_source(self) -> dict[str, int]:
         """Live entry counts per source name (monitoring)."""
-        counts: dict[str, int] = {}
-        for entry in self._entries.values():
-            counts[entry.fragment.source] = (
-                counts.get(entry.fragment.source, 0) + 1
-            )
-        return counts
+        return {
+            source: count
+            for source, count in self._source_entries.items() if count
+        }
 
     def summary(self) -> dict[str, Any]:
         lookups = self.hits + self.containment_hits + self.misses

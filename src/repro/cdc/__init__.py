@@ -27,11 +27,13 @@ from repro.cdc.delta import (
     DeltaSelect,
     DeltaUnsupported,
     RowDelta,
-    select_deltas,
 )
 from repro.cdc.differ import NodeChange, diff_documents, row_key
 from repro.cdc.scope import (
+    Applied,
     FragmentPatch,
+    KeyedRecords,
+    apply_to_fragment,
     change_key_var,
     fragment_patch,
     key_affected,
@@ -40,6 +42,7 @@ from repro.cdc.scope import (
 )
 
 __all__ = [
+    "Applied",
     "CHANGE_OPS",
     "ChangeLog",
     "ChangeRecord",
@@ -51,8 +54,10 @@ __all__ = [
     "DeltaSelect",
     "DeltaUnsupported",
     "FragmentPatch",
+    "KeyedRecords",
     "NodeChange",
     "RowDelta",
+    "apply_to_fragment",
     "change_key_var",
     "diff_documents",
     "fragment_patch",
@@ -60,5 +65,4 @@ __all__ = [
     "pattern_bindings",
     "patch_records",
     "row_key",
-    "select_deltas",
 ]

@@ -347,10 +347,18 @@ class DeltaGroups:
         base row of each group is its representative, groups emit in
         first-seen order.
         """
+        return self.finalize_keyed(
+            (group_key(row, self.group_vars), row) for row in base_rows
+        )
+
+    def finalize_keyed(
+        self, keyed_rows: Iterable[tuple[tuple, BindingTuple]]
+    ) -> list[Element]:
+        """:meth:`finalize` over ``(group key, row)`` pairs, for a caller
+        that keeps each base row's key instead of recomputing it."""
         seen: set[tuple] = set()
         elements: list[Element] = []
-        for row in base_rows:
-            key = group_key(row, self.group_vars)
+        for key, row in keyed_rows:
             if key in seen:
                 continue
             seen.add(key)
@@ -427,17 +435,6 @@ class DeltaGroups:
             raise DeltaUnsupported("retracted value is the current extreme")
 
 
-def select_deltas(
-    deltas: Sequence[RowDelta],
-    predicates: Sequence[Callable[[BindingTuple], bool]],
-) -> list[RowDelta]:
-    """Run a change batch through a chain of residual selections."""
-    current = list(deltas)
-    for predicate in predicates:
-        current = DeltaSelect(predicate).apply_delta(current)
-    return current
-
-
 __all__ = [
     "DeltaCompute",
     "DeltaDistinct",
@@ -447,6 +444,5 @@ __all__ = [
     "DeltaSelect",
     "DeltaUnsupported",
     "RowDelta",
-    "select_deltas",
     "_as_inserts",
 ]

@@ -10,10 +10,13 @@ killed every cached fragment.  This module gives each change a *scope*:
   :func:`repro.materialize.matching.implies`: a fragment whose pushed
   conditions imply the key lies strictly below or above the changed key
   cannot contain the changed row, so its cached results are *retained*;
-* :func:`fragment_patch` / :func:`patch_records` — when the fragment is
+* :func:`fragment_patch` / :class:`KeyedRecords` — when the fragment is
   simple enough to reconstruct the changed row exactly as the source
-  scan would have produced it, the cached records are *patched* in
-  place instead of evicted.
+  scan would have produced it, the held records are *patched* in
+  place instead of evicted, at the cost of the changed key's records;
+* :func:`apply_to_fragment` — the retain / patch / evict decision built
+  from the three, the only copy of it: the fragment cache, the
+  materialized store and the incremental materializer all call it.
 
 Every helper is conservative: when a shape is not provably patchable or
 excludable the answer is "affected, evict" — correctness never rides on
@@ -23,6 +26,7 @@ completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from repro.algebra.pattern import TreePattern, match_pattern
 from repro.algebra.tuples import BindingTuple
@@ -209,58 +213,186 @@ def fragment_patch(
                          rows=rows, before_rows=before_rows)
 
 
+def _plain_key(key) -> bool:
+    """Can ``key`` address a slot?  Strings and ordinary numbers only:
+    for those, dict identity, ``==`` and the algebra's grouping key all
+    draw the same distinctions (booleans, NaN and integers past float
+    precision are where they part)."""
+    kind = type(key)
+    if kind is str:
+        return True
+    return (kind is int or kind is float) and -(2 ** 53) < key < 2 ** 53
+
+
+class KeyedRecords:
+    """One fragment's records, patchable by row key without a scan.
+
+    Readers see a plain sequence: ``len`` and iteration in scan order.
+    The first patch builds an insertion-ordered ``key -> records`` map
+    and from then on the map is the truth.  Dict order *is* the position
+    rule a re-scan obeys — a new key appends (rowids grow, the differ
+    rejects mid-document inserts), a replaced value keeps its slot (the
+    row kept its rowid / document position), a deleted key closes its
+    gap — so a patch costs the records of one key, not of the fragment.
+    It needs every key's records adjacent (one row's fan-out is) and
+    keys that are plain atoms; records that are not so are unpatchable.
+    """
+
+    __slots__ = ("_rows", "_slots", "_key_var", "_count")
+
+    def __init__(self, records: list[Record]):
+        self._rows: list[Record] | None = records
+        self._slots: dict[object, tuple[Record, ...]] | None = None
+        self._key_var: str | None = None
+        self._count = len(records)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Record]:
+        if self._rows is None:
+            self._rows = [
+                record for held in self._slots.values() for record in held
+            ]
+        return iter(self._rows)
+
+    def copy(self) -> "KeyedRecords":
+        """An independent copy (records themselves are immutable)."""
+        clone = KeyedRecords.__new__(KeyedRecords)
+        clone._rows = self._rows
+        clone._slots = None if self._slots is None else dict(self._slots)
+        clone._key_var = self._key_var
+        clone._count = self._count
+        return clone
+
+    def slots(self, key_var: str) -> dict[object, tuple[Record, ...]] | None:
+        """The ``key -> records`` map in scan order (read-only), or None
+        when the records cannot be addressed by ``key_var``."""
+        if self._key_var != key_var:
+            self._key_var = key_var
+            self._slots = self._index(key_var)
+        return self._slots
+
+    def _index(self, key_var: str):
+        slots: dict[object, list[Record]] = {}
+        current: list[Record] | None = None
+        last = None
+        for record in self:
+            key = record.get(key_var)
+            if current is not None and key == last:
+                current.append(record)
+                continue
+            if not _plain_key(key) or key in slots:
+                return None  # odd key, or one key's records are scattered
+            current = slots[key] = [record]
+            last = key
+        return {key: tuple(held) for key, held in slots.items()}
+
+    def apply(
+        self, patch: FragmentPatch
+    ) -> tuple[tuple[Record, ...], tuple[Record, ...]] | None:
+        """Apply a patch in place: ``(removed, added)``, or None when
+        unsound (then nothing has changed).
+
+        Inserts append.  Deletes remove the key's records.  Updates
+        replace them *in place*, but an update that changes how many
+        records the row produces, or that flips a row *into* the result
+        (its position is unknowable), is unsound.
+        """
+        slots = self.slots(patch.key_var)
+        key, rows = patch.key, patch.rows
+        if slots is None or not _plain_key(key):
+            return None
+        if any(row.get(patch.key_var) != key for row in rows):
+            return None  # the slot would not be found under its own key
+        held = slots.get(key, ())
+        if patch.op == "insert":
+            if held:
+                return None  # duplicate key: the feed and the cache disagree
+        elif patch.op == "delete":
+            rows = ()  # absent already: filtered out before, nothing to do
+        elif rows:
+            if not held:
+                return None  # flips INTO the result: position unknown
+            if len(held) != len(rows):
+                return None  # fan-out changed: positions ambiguous
+        # an update without rows flips OUT (or was out and stays out)
+        if rows:
+            slots[key] = rows
+        elif held:
+            del slots[key]
+        if held or rows:
+            self._rows = None
+            self._count += len(rows) - len(held)
+        return held, rows
+
+
 def patch_records(records: list[Record],
                   patch: FragmentPatch) -> list[Record] | None:
-    """Apply a patch to a cached record list, or None when unsound.
+    """The patched copy of a record list, or None when unsound — the
+    functional form of :meth:`KeyedRecords.apply`."""
+    keyed = KeyedRecords(records)
+    if keyed.apply(patch) is None:
+        return None
+    return list(keyed)
 
-    Inserts append (scans emit new rows last: rowids grow, the differ
-    rejects mid-document inserts).  Deletes remove the key's records.
-    Updates replace them *in place* — positions are stable because the
-    underlying row kept its rowid / document position — but an update
-    that changes how many records the row produces, or that flips a row
-    *into* the result (its position is unknowable), returns None.
+
+class Applied(NamedTuple):
+    """What one change did to one fragment's held records."""
+
+    decision: str  # RETAINED | EXCLUDED | PATCHED | UNPATCHABLE
+    removed: tuple[Record, ...] = ()
+    added: tuple[Record, ...] = ()
+
+
+RETAINED = "retained"  # the fragment does not read the changed relation
+EXCLUDED = "excluded"  # its pushed conditions provably exclude the key
+PATCHED = "patched"  # the records were fixed in place
+UNPATCHABLE = "unpatchable"  # affected and not patchable: evict
+
+
+def apply_to_fragment(
+    fragment: Fragment,
+    records: KeyedRecords | None,
+    change: ChangeRecord,
+    key_field: str | None,
+) -> Applied:
+    """The one retain / patch / evict decision for a held fragment result.
+
+    The fragment cache, the materialized store and the incremental
+    materializer all hold ``fragment``'s records and all ask the same
+    question of each change; they differ only in what UNPATCHABLE costs
+    them (evict, invalidate, full rebuild).  ``records=None`` asks for
+    the decision alone: whatever is not provably untouched is
+    UNPATCHABLE.
     """
-    positions = [
-        index
-        for index, record in enumerate(records)
-        if record.get(patch.key_var) == patch.key
-    ]
-    if patch.op == "insert":
-        if positions:
-            return None  # duplicate key: the feed and the cache disagree
-        return records + list(patch.rows)
-    if patch.op == "delete":
-        if not positions:
-            return list(records)  # filtered out before; nothing to do
-        keep = set(positions)
-        return [
-            record
-            for index, record in enumerate(records)
-            if index not in keep
-        ]
-    # update
-    if not positions:
-        if not patch.rows:
-            return list(records)  # out before, out after: untouched
-        return None  # flips INTO the result: position unknown
-    if not patch.rows:
-        # flips OUT of the result: an in-place delete
-        keep = set(positions)
-        return [
-            record
-            for index, record in enumerate(records)
-            if index not in keep
-        ]
-    if len(positions) != len(patch.rows):
-        return None  # fan-out changed: positions ambiguous
-    patched = list(records)
-    for index, row in zip(positions, patch.rows):
-        patched[index] = row
-    return patched
+    if all(access.relation != change.relation for access in fragment.accesses):
+        return Applied(RETAINED)
+    if change.op == "reset" or key_field is None:
+        return Applied(UNPATCHABLE)
+    key_var = change_key_var(fragment, change.relation, key_field)
+    if key_var is not None and not key_affected(
+        fragment.conditions, key_var, change.key
+    ):
+        return Applied(EXCLUDED)
+    if records is not None:
+        patch = fragment_patch(fragment, change, key_field)
+        if patch is not None:
+            applied = records.apply(patch)
+            if applied is not None:
+                return Applied(PATCHED, *applied)
+    return Applied(UNPATCHABLE)
 
 
 __all__ = [
+    "Applied",
+    "EXCLUDED",
     "FragmentPatch",
+    "KeyedRecords",
+    "PATCHED",
+    "RETAINED",
+    "UNPATCHABLE",
+    "apply_to_fragment",
     "change_key_var",
     "fragment_patch",
     "key_affected",

@@ -1376,7 +1376,7 @@ class NimbleEngine:
             )
         return self.incremental.maintain(name)
 
-    def sync_changes(self, patch: bool = True) -> dict[str, Any]:
+    def sync_changes(self) -> dict[str, Any]:
         """Drain every source change feed: caches first, then views.
 
         For each change past this engine's per-source cursor the
@@ -1413,7 +1413,7 @@ class NimbleEngine:
                         if self.fragment_cache is not None:
                             patched, evicted, retained = (
                                 self.fragment_cache.apply_change(
-                                    change, key_field, patch=patch
+                                    change, key_field
                                 )
                             )
                             report["cache_patched"] += patched
@@ -1425,8 +1425,7 @@ class NimbleEngine:
                         if self.materializer is not None:
                             patched, invalidated, retained = (
                                 self.materializer.store.apply_change(
-                                    change, key_field, now_ms=self.clock.now,
-                                    patch=patch,
+                                    change, key_field, now_ms=self.clock.now
                                 )
                             )
                             report["store_patched"] += patched

@@ -4,22 +4,28 @@ The :class:`IncrementalMaterializer` keeps, for each maintained mediated
 view, the raw records of every fragment the view reads plus a
 **high-water sequence number** per source.  A refresh drains each
 source's :class:`~repro.cdc.changelog.ChangeLog` past the high water,
-patches the kept records in place (:mod:`repro.cdc.scope`), and rebuilds
-the view's elements *locally* — no network calls, cost proportional to
-the delta, not the base.  Three maintenance modes, chosen per view at
-:meth:`maintain` time:
+patches the kept records in place (:mod:`repro.cdc.scope`, by key), and
+brings the view's elements up to date *locally* — no network calls, cost
+proportional to the delta, not the base.  Three maintenance modes,
+chosen per view at :meth:`maintain` time:
 
 * ``groups`` — single-fragment aggregate views (flat construct
-  template): changes propagate through the delta algebra
-  (:class:`~repro.cdc.delta.DeltaSelect` for residual conditions, then
-  :class:`~repro.cdc.delta.DeltaGroups` retraction states), so the
-  per-group aggregate states update in O(delta);
+  template): each changed key's old rows are retracted from, and its
+  new rows folded into, the per-group aggregate states
+  (:class:`~repro.cdc.delta.DeltaGroups`), so the states update in
+  O(delta); rendering walks the kept ``(group key, row)`` pairs for
+  group order and representatives, never the base records;
 * ``rows`` — any view whose fragments are all non-dependent,
-  CDC-enabled and key-addressable: base records are patched in place
-  and the plan (joins, residual selects, sort, construct, limit) is
-  re-run locally over them through the engine's own
-  :class:`~repro.optimizer.planner.PlanBuilder` — the same code path a
-  fresh execution takes, so output is bit-identical;
+  CDC-enabled and key-addressable.  When the view is one scan, its
+  residual selects and a construct whose grouping variables include the
+  row key — no ORDER BY, no LIMIT — no element group spans two keys, so
+  the output is the concatenation of what each key's records construct:
+  a refresh rebuilds the elements of the keys the batch touched and
+  reuses every other element as it is.  Every other ``rows`` shape
+  (joins, ORDER BY, LIMIT, groups that span keys) patches its base
+  records in place and re-runs the plan locally over them through the
+  engine's own :class:`~repro.optimizer.planner.PlanBuilder` — the same
+  code path a fresh execution takes, so output is bit-identical;
 * ``full`` — everything else (dependent fragments, views-over-views,
   feeds without declared keys): a refresh re-runs the view query when
   any upstream feed moved.
@@ -40,10 +46,21 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.algebra.merge import collect_aggregates, flat_template
+from repro.algebra.construct import build_elements
+from repro.algebra.merge import (
+    collect_aggregates,
+    flat_template,
+    group_key,
+    template_group_vars,
+)
 from repro.algebra.tuples import BindingTuple
-from repro.cdc.delta import DeltaGroups, DeltaUnsupported, RowDelta, select_deltas
-from repro.cdc.scope import change_key_var, fragment_patch, patch_records
+from repro.cdc.delta import DeltaGroups, DeltaUnsupported
+from repro.cdc.scope import (
+    UNPATCHABLE,
+    KeyedRecords,
+    apply_to_fragment,
+    change_key_var,
+)
 from repro.errors import MediationError
 from repro.materialize.policy import RefreshPolicy
 from repro.mediator.schema import ViewDef
@@ -84,7 +101,7 @@ class UnitState:
         self.unit = unit
         self.key_field = key_field
         self.key_var = key_var
-        self.records: list[Record] = []
+        self.records = KeyedRecords([])
 
     @property
     def relation(self) -> str:
@@ -105,7 +122,15 @@ class MaintainedView:
         #: source name -> last applied change sequence number
         self.high_water: dict[str, int] = {}
         self.groups: DeltaGroups | None = None
+        #: set when the output derives key by key (see ``derived``)
         self.template = None
+        self.predicates: list = []
+        #: row key -> what that key's base records contribute, in base
+        #: order and with an entry for every key held (an empty one when
+        #: residual conditions drop the row, so a later flip-in lands in
+        #: place): (group key, row) pairs in ``groups`` mode, finished
+        #: elements in ``rows`` mode.  None when the plan re-runs.
+        self.derived: dict[object, tuple] | None = None
         self.elements: list = []
         self.delta_refreshes = 0
         self.full_rebuilds = 0
@@ -234,10 +259,18 @@ class IncrementalMaterializer:
             and not query.order_by
             and query.limit is None
         ):
+            # one scan, selects and a construct: the output is a function
+            # of the base rows key by key when no group spans two keys
             template = template_to_construct(query.construct)
             if collect_aggregates(template) and flat_template(template):
                 view.mode = "groups"
-                view.template = template
+            elif units[0].key_var not in template_group_vars(template):
+                return view
+            view.template = template
+            view.predicates = [
+                compile_predicate(condition)
+                for condition in decomposed.residual_conditions
+            ]
         return view
 
     def _unit_state(self, unit) -> UnitState | None:
@@ -269,7 +302,9 @@ class IncrementalMaterializer:
         else:
             context = engine._cdc_fetch_context()
             for state in view.units:
-                state.records = list(context.fetch_fragment(state.unit))
+                state.records = KeyedRecords(
+                    list(context.fetch_fragment(state.unit))
+                )
             engine.cdc_stats.absorb(context.stats)
             self._rebuild_output(view)
         # captured *after* the fetch: everything at or below latest_seq
@@ -299,34 +334,52 @@ class IncrementalMaterializer:
 
     def _rebuild_output(self, view: MaintainedView) -> None:
         """Recompute the view's elements from the maintained base rows."""
-        engine = self._engine()
-        if view.mode == "groups":
-            filtered = self._filtered_rows(view)
-            groups = DeltaGroups(view.template)
-            for row in filtered:
-                groups.observe(row)
-            view.groups = groups
-            view.elements = groups.finalize(filtered)
+        slots = None
+        if view.template is not None:
+            only = view.units[0]
+            slots = only.records.slots(only.key_var)
+        if slots is None:
+            # a shape that spans keys, or records no key addresses (no
+            # patch will ever land on those): run the plan over them
+            context = _LocalContext(
+                {id(state.unit): state.records for state in view.units}
+            )
+            plan = self._engine().builder.build(view.decomposed, context)
+            view.elements = plan.results()
             return
-        context = _LocalContext(
-            {id(state.unit): state.records for state in view.units}
-        )
-        plan = engine.builder.build(view.decomposed, context)
-        view.elements = plan.results()
+        if view.mode == "groups":
+            view.groups = DeltaGroups(view.template)
+        view.derived = {
+            key: self._derive(view, held) for key, held in slots.items()
+        }
+        if view.mode == "groups":
+            for pairs in view.derived.values():
+                for _, row in pairs:
+                    view.groups.observe(row)
+        self._render(view)
 
-    def _filtered_rows(self, view: MaintainedView) -> list[BindingTuple]:
-        predicates = [
-            compile_predicate(condition)
-            for condition in view.decomposed.residual_conditions
-        ]
-        rows = [
-            BindingTuple(record.as_dict())
-            for record in view.units[0].records
-        ]
-        return [
-            row for row in rows
-            if all(predicate(row) for predicate in predicates)
-        ]
+    def _derive(self, view: MaintainedView,
+                records: tuple[Record, ...]) -> tuple:
+        """What one key's base records contribute to the output."""
+        rows = [BindingTuple(record.as_dict()) for record in records]
+        for predicate in view.predicates:
+            rows = [row for row in rows if predicate(row)]
+        if view.mode == "groups":
+            group_vars = view.groups.group_vars
+            return tuple((group_key(row, group_vars), row) for row in rows)
+        return tuple(build_elements(view.template, rows))
+
+    def _render(self, view: MaintainedView) -> None:
+        """The output from the per-key contributions, in base order."""
+        contributions = view.derived.values()
+        if view.mode == "groups":
+            view.elements = view.groups.finalize_keyed(
+                pair for pairs in contributions for pair in pairs
+            )
+        else:
+            view.elements = [
+                element for built in contributions for element in built
+            ]
 
     def _publish(self, view: MaintainedView) -> None:
         """Expose the elements through the materialization manager."""
@@ -350,55 +403,39 @@ class IncrementalMaterializer:
             return self._full_rebuild(view)
 
         stats = engine.cdc_stats
-        group_deltas: list[RowDelta] = []
         delta_rows = 0
         changes = 0
         # stage the patches; nothing is applied until every change fits
-        staged: dict[int, list[Record]] = {
-            id(state): list(state.records) for state in view.units
-        }
+        staged = {id(state): state.records.copy() for state in view.units}
+        #: (row key, the records it now holds) per effective change
+        touched: list[tuple[object, tuple[Record, ...]]] = []
         for state in view.units:
             log = state.unit.source.changelog
             high_water = view.high_water.get(state.unit.source.name, 0)
             for change in log.since(high_water):
                 if change.relation != state.relation:
                     continue
-                if change.op == "reset":
+                decision, removed, added = apply_to_fragment(
+                    state.unit.fragment, staged[id(state)], change,
+                    state.key_field,
+                )
+                if decision == UNPATCHABLE:
                     return self._full_rebuild(view)
-                patch = fragment_patch(state.unit.fragment, change,
-                                       state.key_field)
-                if patch is None:
-                    return self._full_rebuild(view)
-                patched = patch_records(staged[id(state)], patch)
-                if patched is None:
-                    return self._full_rebuild(view)
-                staged[id(state)] = patched
                 changes += 1
-                delta_rows += max(1, len(patch.rows) + len(patch.before_rows))
-                if view.mode == "groups":
-                    group_deltas.extend(_patch_deltas(patch))
+                delta_rows += max(1, len(added) + len(removed))
+                if removed or added:
+                    touched.append((change.key, added))
 
-        if view.mode == "groups":
-            filtered = select_deltas(
-                group_deltas,
-                [
-                    compile_predicate(condition)
-                    for condition in view.decomposed.residual_conditions
-                ],
-            )
+        if view.derived is not None:
             try:
-                view.groups.apply_delta(filtered)
+                self._apply_touched(view, touched)
+                self._render(view)
             except DeltaUnsupported:
+                view.epoch = None  # half-moved states must never patch again
                 return self._full_rebuild(view)
-
         for state in view.units:
             state.records = staged[id(state)]
-        if view.mode == "groups":
-            try:
-                view.elements = view.groups.finalize(self._filtered_rows(view))
-            except DeltaUnsupported:
-                return self._full_rebuild(view)
-        else:
+        if view.derived is None:
             self._rebuild_output(view)
         # the refresh costs local delta work, never network
         engine.clock.advance(engine.cost_model.local_cost(delta_rows))
@@ -413,6 +450,23 @@ class IncrementalMaterializer:
         engine.tracer.event("delta_applied", view=view.name,
                             changes=changes, rows=delta_rows)
         return "delta"
+
+    def _apply_touched(self, view: MaintainedView, touched) -> None:
+        """Move the per-key contributions (and group states) with the
+        base: a key that lost its records leaves, a new key appends, a
+        key that kept its slot is replaced in place."""
+        derived = view.derived
+        for key, records in touched:
+            if view.mode == "groups":
+                for _, row in derived.get(key, ()):
+                    view.groups.retract(row)
+            if not records:
+                derived.pop(key, None)
+                continue
+            derived[key] = self._derive(view, records)
+            if view.mode == "groups":
+                for _, row in derived[key]:
+                    view.groups.observe(row)
 
     def _full_rebuild(self, view: MaintainedView) -> str:
         """The fallback: re-resolve, re-plan, re-fetch, re-publish."""
@@ -441,27 +495,6 @@ class IncrementalMaterializer:
 
     def summary(self) -> dict[str, Any]:
         return {name: view.summary() for name, view in self.views.items()}
-
-
-def _patch_deltas(patch) -> list[RowDelta]:
-    """A fragment patch as row deltas at the scan's output level."""
-    rows = [BindingTuple(record.as_dict()) for record in patch.rows]
-    before = [BindingTuple(record.as_dict()) for record in patch.before_rows]
-    if patch.op == "insert":
-        return [RowDelta("insert", row=row) for row in rows]
-    if patch.op == "delete":
-        return [RowDelta("delete", before=row) for row in before]
-    if len(before) == len(rows):
-        return [
-            RowDelta("update", row=after, before=prior)
-            for prior, after in zip(before, rows)
-        ]
-    if not rows:
-        return [RowDelta("delete", before=row) for row in before]
-    # patch_records() already rejected every other asymmetric shape
-    return [RowDelta("delete", before=row) for row in before] + [
-        RowDelta("insert", row=row) for row in rows
-    ]
 
 
 __all__ = ["IncrementalMaterializer", "MaintainedView", "UnitState"]

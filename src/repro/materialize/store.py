@@ -5,6 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.cdc.scope import (
+    EXCLUDED,
+    PATCHED,
+    RETAINED,
+    KeyedRecords,
+    apply_to_fragment,
+)
 from repro.errors import MaterializationError
 from repro.materialize.matching import fragment_key
 from repro.materialize.policy import RefreshPolicy
@@ -17,12 +24,16 @@ class MaterializedView:
     """One materialized fragment: definition, rows, freshness state."""
 
     fragment: Fragment
-    records: list[Record]
+    records: KeyedRecords  # a plain list is wrapped
     loaded_at: float
     policy: RefreshPolicy
     invalidated: bool = False
     hits: int = 0
     refreshes: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, KeyedRecords):
+            self.records = KeyedRecords(self.records)
 
     @property
     def key(self) -> str:
@@ -36,7 +47,7 @@ class MaterializedView:
         return self.policy.is_fresh(now_ms - self.loaded_at, self.invalidated)
 
     def reload(self, records: list[Record], now_ms: float) -> None:
-        self.records = records
+        self.records = KeyedRecords(records)
         self.loaded_at = now_ms
         self.invalidated = False
         self.refreshes += 1
@@ -83,50 +94,31 @@ class LocalStore:
         return count
 
     def apply_change(self, change, key_field: str | None,
-                     now_ms: float, patch: bool = True) -> tuple[int, int, int]:
+                     now_ms: float) -> tuple[int, int, int]:
         """Scoped invalidation over materialized fragments.
 
-        The same per-entry decision as
-        :meth:`repro.cache.fragmentcache.FragmentResultCache.apply_change`
-        — retain when the change provably misses the fragment, patch the
-        records in place when the shape allows, otherwise mark the view
-        invalidated (its next serve falls through to the source).
+        The same per-fragment decision as the fragment cache's
+        (:func:`repro.cdc.scope.apply_to_fragment`) — retain when the change
+        provably misses the fragment, patch the records in place when
+        the shape allows, otherwise mark the view invalidated (its next
+        serve falls through to the source).  A view already invalidated
+        stays so, and unpatched, until :meth:`MaterializedView.reload`:
+        its records miss whatever invalidated it, and a later patch
+        cannot bring that back.
         Returns ``(patched, invalidated, retained)``.
         """
-        from repro.cdc.scope import (
-            change_key_var,
-            fragment_patch,
-            key_affected,
-            patch_records,
-        )
-
         patched = invalidated = retained = 0
         for view in self._views.values():
-            fragment = view.fragment
-            if fragment.source != change.source:
+            if view.fragment.source != change.source:
                 continue
-            if all(
-                access.relation != change.relation
-                for access in fragment.accesses
-            ):
+            decision = apply_to_fragment(
+                view.fragment, None if view.invalidated else view.records,
+                change, key_field,
+            ).decision
+            if decision in (RETAINED, EXCLUDED):
                 retained += 1
-                continue
-            if change.op != "reset" and key_field is not None:
-                key_var = change_key_var(fragment, change.relation, key_field)
-                if key_var is not None and not key_affected(
-                    fragment.conditions, key_var, change.key
-                ):
-                    retained += 1
-                    continue
-            applied = None
-            if patch and change.op != "reset" and key_field is not None:
-                plan = fragment_patch(fragment, change, key_field)
-                if plan is not None:
-                    applied = patch_records(view.records, plan)
-            if applied is not None:
-                view.records = applied
+            elif decision == PATCHED:
                 view.loaded_at = now_ms
-                view.invalidated = False
                 patched += 1
             else:
                 view.invalidated = True

@@ -30,6 +30,7 @@ from repro.cdc import (
 from repro.core.engine import NimbleEngine, PartialResultPolicy
 from repro.core.sharding import ShardRouter
 from repro.materialize import MaterializationManager
+from repro.materialize.policy import RefreshPolicy
 from repro.mediator.catalog import Catalog
 from repro.mediator.schema import MediatedSchema, ViewDef
 from repro.query import ast as qast
@@ -95,6 +96,17 @@ def build_deployment(rows, faults=None, **engine_kw):
         "group_extremes",
         'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items" '
         "CONSTRUCT <g id=$g><lo>min($v)</lo><hi>max($v)</hi></g>",
+    ))
+    # two shapes whose output is not a function of the rows key by key
+    schema.define(ViewDef.from_text(
+        "ranked_items",
+        'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items", $v > 5 '
+        "CONSTRUCT <r><k>$k</k><v>$v</v></r> ORDER BY $v DESC, $k",
+    ))
+    schema.define(ViewDef.from_text(
+        "values_seen",
+        'WHERE <i><k>$k</k><grp>$g</grp><v>$v</v></i> IN "items" '
+        "CONSTRUCT <val>$v</val>",
     ))
     catalog.add_schema(schema)
     manager = MaterializationManager(clock)
@@ -402,6 +414,93 @@ class TestScope:
         patched = patch_records(records, patch)
         assert [record.get("k") for record in patched] == [1]
 
+    def test_keyed_records_refuse_what_no_key_addresses(self):
+        from repro.cdc import FragmentPatch, KeyedRecords
+        from repro.xmldm.values import NULL, Record
+
+        update = FragmentPatch("update", "k", 1, rows=(Record({"k": 1}),))
+        scattered = [Record({"k": 1}), Record({"k": 2}), Record({"k": 1})]
+        for records in (scattered, [Record({"k": True})],
+                        [Record({"k": NULL})]):
+            keyed = KeyedRecords(list(records))
+            assert keyed.apply(update) is None
+            assert list(keyed) == records
+        # after-image rows that would not be found under the patch's key
+        keyed = KeyedRecords([Record({"k": 1})])
+        wrong = FragmentPatch("update", "k", 1, rows=(Record({"k": 2}),))
+        assert keyed.apply(wrong) is None
+
+    def test_keyed_records_copy_is_independent(self):
+        from repro.cdc import FragmentPatch, KeyedRecords
+        from repro.xmldm.values import Record
+
+        keyed = KeyedRecords([Record({"k": 1}), Record({"k": 2})])
+        keyed.apply(FragmentPatch("delete", "k", 2))
+        staged = keyed.copy()
+        assert staged.apply(
+            FragmentPatch("insert", "k", 3, rows=(Record({"k": 3}),))
+        ) == ((), (Record({"k": 3}),))
+        assert [r.get("k") for r in keyed] == [1] and len(keyed) == 1
+        assert [r.get("k") for r in staged] == [1, 3] and len(staged) == 2
+
+
+def _reference_patch_records(records, patch):
+    """The list-scan patch this repo shipped before records were keyed:
+    kept here as the reference for where patched records must land."""
+    positions = [
+        index for index, record in enumerate(records)
+        if record.get(patch.key_var) == patch.key
+    ]
+    if patch.op == "insert":
+        return None if positions else records + list(patch.rows)
+    if patch.op == "delete" or not patch.rows:
+        if patch.op == "update" and not positions:
+            return list(records)
+        return [r for i, r in enumerate(records) if i not in set(positions)]
+    if not positions or len(positions) != len(patch.rows):
+        return None
+    patched = list(records)
+    for index, row in zip(positions, patch.rows):
+        patched[index] = row
+    return patched
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestKeyedPatchPositions:
+    @given(
+        fanout=st.lists(st.integers(1, 3), max_size=6),
+        patches=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "update", "delete"]),
+                st.integers(0, 8),  # key: held or new
+                st.integers(0, 3),  # after-image records
+            ),
+            max_size=8,
+        ),
+    )
+    def test_lands_where_the_list_scan_put_it(self, fanout, patches):
+        from repro.cdc import FragmentPatch, KeyedRecords
+        from repro.xmldm.values import Record
+
+        records = [Record({"k": key, "n": n})
+                   for key, count in enumerate(fanout) for n in range(count)]
+        keyed = KeyedRecords(list(records))
+        for step, (op, key, count) in enumerate(patches):
+            rows = () if op == "delete" else tuple(
+                Record({"k": key, "n": 10 * step + n}) for n in range(count)
+            )
+            patch = FragmentPatch(op, "k", key, rows=rows)
+            expected = _reference_patch_records(records, patch)
+            applied = keyed.apply(patch)
+            assert (applied is None) == (expected is None)
+            if expected is not None:
+                records = expected
+            assert list(keyed) == records and len(keyed) == len(records)
+            assert patch_records(records, patch) == (
+                _reference_patch_records(records, patch)
+            )
+
+
 
 # -- scoped cache invalidation ------------------------------------------------
 
@@ -456,6 +555,33 @@ class TestScopedCacheInvalidation:
         source.changelog.emit_reset("t")
         report = engine.sync_changes()
         assert report["cache_evicted"] >= 1
+
+    @pytest.mark.parametrize("one_batch", [False, True])
+    def test_invalidated_store_view_stays_invalidated(self, one_batch):
+        """A flip-in invalidates the stored fragment; a later patchable
+        change must not declare it fresh again (it would serve without
+        the row that flipped in, at zero remote calls)."""
+        query = ('WHERE <i><k>$k</k><v>$v</v></i> IN "items", $v >= 50 '
+                 "CONSTRUCT <r>$k</r> ORDER BY $k")
+        engine, source = build_deployment([(k, 0, 10 * k) for k in range(10)])
+        assert engine.materialize_query_fragments(
+            query, RefreshPolicy.manual()
+        ) == 1
+        source.update_row("t", 1, {"v": 500})  # flips INTO the result
+        reports = [] if one_batch else [engine.sync_changes()]
+        source.update_row("t", 7, {"v": 71})  # patchable on its own
+        reports.append(engine.sync_changes())
+        assert sum(r["store_invalidated"] for r in reports) == 2
+        assert sum(r["store_patched"] for r in reports) == 0
+        (view,) = engine.materializer.store
+        assert view.invalidated
+        assert 7 in [r.get("k") for r in view.records]  # and unpatched:
+        assert 71 not in [r.get("v") for r in view.records]
+        result = engine.query(query)
+        assert [e.text_content() for e in result.elements] == [
+            "1", "5", "6", "7", "8", "9"
+        ]
+        assert result.stats.remote_calls == 1
 
 
 # -- incremental maintenance (deterministic) ----------------------------------
@@ -681,3 +807,299 @@ class TestBitIdentityProperty:
                 assert maintained_elements(engine, name) == [
                     serialize(e) for e in routed.elements
                 ], name
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestRerunShapesProperty:
+    """The sweep above holds the key-by-key and group-state refreshes to
+    a fresh execution; this one does so for the views that still re-run
+    their plan over the patched base rows."""
+
+    @given(
+        n_rows=st.integers(2, 24),
+        seed=st.integers(1, 50),
+        batches=st.lists(OPS, min_size=1, max_size=3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_rerun_equals_full_rematerialization(self, n_rows, seed, batches):
+        engine, source = build_deployment(seeded_rows(n_rows, seed))
+        names = ("ranked_items", "values_seen")
+        for name in names:
+            assert engine.maintain_view(name).derived is None
+        for ops in batches:
+            _apply_ops(source, ops)
+            engine.sync_changes()
+            for name in names:
+                assert maintained_elements(engine, name) == fresh_elements(
+                    engine, name
+                ), name
+
+
+# -- change-proportional sync -------------------------------------------------
+
+
+class TestDeltaRefreshReusesElements:
+    def test_untouched_keys_keep_their_elements(self):
+        engine, source = build_deployment(seeded_rows(30))
+        view = engine.maintain_view("big_items")
+        assert view.mode == "rows" and view.derived is not None
+        before = {e.children[0].text_content(): e for e in view.elements}
+        touched = next(k for (k, _, v) in seeded_rows(30) if v > 5)
+        gone = next(k for (k, _, v) in seeded_rows(30)
+                    if v > 5 and k != touched)
+        source.update_row("t", touched, {"v": 22})
+        source.delete_row("t", gone)
+        source.insert_row("t", {"k": 70, "grp": 1, "v": 9})
+        report = engine.sync_changes()
+        assert report["views"]["big_items"] == "delta"
+        view = engine.incremental.views["big_items"]
+        after = {e.children[0].text_content(): e for e in view.elements}
+        assert set(before) - set(after) == {str(gone)}
+        assert set(after) - set(before) == {"70"}
+        for key, element in after.items():
+            if key in (str(touched), "70"):
+                assert element is not before.get(key)
+            else:
+                assert element is before[key], key
+        assert maintained_elements(engine, "big_items") == fresh_elements(
+            engine, "big_items"
+        )
+
+    def test_shapes_spanning_keys_rerun_the_plan(self):
+        engine, source = build_deployment(seeded_rows(12))
+        for name in ("ranked_items", "values_seen"):
+            view = engine.maintain_view(name)
+            assert view.mode == "rows" and view.derived is None, name
+        source.update_row("t", 4, {"v": 19})
+        source.delete_row("t", 2)
+        report = engine.sync_changes()
+        for name in ("ranked_items", "values_seen"):
+            assert report["views"][name] == "delta"
+            assert maintained_elements(engine, name) == fresh_elements(
+                engine, name
+            ), name
+
+
+def _counting(monkeypatch, counts, owner, name):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestSyncWorkScalesWithTheBatch:
+    """One sync of a fixed batch costs the same work at 500 rows and at
+    4,000.  Counted: ``record_bytes`` calls and every read of a base
+    ``Record``.  Not counted, and still proportional to what is held:
+    C-level copies (the staged key map, the published element list) and
+    the ``groups`` view's pass over its kept ``(group key, row)`` pairs."""
+
+    STORED = ('WHERE <i><k>$k</k><v>$v</v></i> IN "items", $k > 10 '
+              "CONSTRUCT <r>$k</r>")
+    ALL = ('WHERE <i><k>$k</k><v>$v</v></i> IN "items" '
+           "CONSTRUCT <r>$k</r>")
+
+    def sync_work(self, n_rows, monkeypatch):
+        import repro.cache.fragmentcache as fragmentcache
+        from repro.xmldm.values import Record
+
+        engine, source = build_deployment(
+            seeded_rows(n_rows), fragment_cache_bytes=1 << 26
+        )
+        for name in ("big_items", "by_group"):
+            engine.maintain_view(name)
+        engine.materialize_query_fragments(self.STORED, RefreshPolicy.manual())
+        for text in (TestScopedCacheInvalidation.LOW,
+                     TestScopedCacheInvalidation.HIGH, self.ALL):
+            engine.query(text)
+        # the first patch of an entry builds its key map: once, not per sync
+        source.update_row("t", 3, {"v": 7})
+        source.update_row("t", 30, {"v": 7})
+        engine.sync_changes()
+
+        for key in range(20, 28):  # v stays: no row flips into a result
+            source.update_row("t", key, {"grp": key % 5})
+        source.insert_row("t", {"k": 10_000, "grp": 2, "v": 11})
+        source.delete_row("t", 40)
+        counts: dict[str, int] = {}
+        with monkeypatch.context() as patched:
+            _counting(patched, counts, fragmentcache, "record_bytes")
+            for name in ("get", "as_dict", "items", "__getitem__"):
+                _counting(patched, counts, Record, name)
+            report = engine.sync_changes()
+        assert report["changes"] == 10
+        # HIGH and ALL take every change; so do the views' base fragments
+        assert report["cache_patched"] >= 20 and report["cache_evicted"] == 0
+        assert report["store_patched"] == 10
+        assert report["views"] == {"big_items": "delta", "by_group": "delta"}
+        return counts
+
+    def test_work_is_flat_in_the_rows_held(self, monkeypatch):
+        small = self.sync_work(500, monkeypatch)
+        large = self.sync_work(4000, monkeypatch)
+        assert small["record_bytes"] > 0 and small["get"] > 0
+        assert large == small
+
+
+# -- byte accounting and key maps under random streams ------------------------
+
+
+CACHED_QUERIES = (
+    # every row; rows whose $v crosses 10 flip in (evict) and out (patch);
+    # a key range most changes provably miss; one record per <tag>
+    'WHERE <i><k>$k</k><v>$v</v><s>$s</s></i> IN "items" CONSTRUCT <r>$k</r>',
+    'WHERE <i><k>$k</k><v>$v</v><s>$s</s></i> IN "items", $v >= 10 '
+    "CONSTRUCT <r>$k</r>",
+    'WHERE <i><k>$k</k><v>$v</v></i> IN "items", $k < 6 CONSTRUCT <r>$k</r>',
+    'WHERE <row><id>$i</id><tag>$t</tag></row> IN "x.rows" '
+    "CONSTRUCT <o>$i</o>",
+)
+
+
+def _rows_document(tags_by_id: dict[int, list[str]]) -> str:
+    return "<t>" + "".join(
+        f"<row><id>{key}</id>"
+        + "".join(f"<tag>{tag}</tag>" for tag in tags) + "</row>"
+        for key, tags in tags_by_id.items()
+    ) + "</t>"
+
+
+def build_cached_deployment(n_rows: int, max_bytes: int):
+    """A relational table with a text column and an XML document whose
+    rows fan out, both feeding one fragment cache."""
+    db = Database()
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER, s TEXT)")
+    db.insert_rows("t", [(k, (k * 7) % 20, "s" * (k % 4))
+                         for k in range(n_rows)])
+    clock = SimClock()
+    registry = SourceRegistry(clock)
+    source = RelationalSource("s", db, network=NetworkModel(latency_ms=5.0))
+    registry.register(source)
+    source.enable_cdc()
+    tags = {key: ["a"] * (1 + key % 3) for key in range(n_rows)}
+    xml = XMLSource("x", {"rows": _rows_document(tags)},
+                    network=NetworkModel(latency_ms=5.0))
+    registry.register(xml)
+    xml.enable_cdc({"rows": "id"})
+    catalog = Catalog(registry)
+    catalog.map_relation("items", "s", "t")
+    engine = NimbleEngine(catalog, fragment_cache_bytes=max_bytes)
+    return engine, source, xml, tags
+
+
+def assert_cache_consistent(engine) -> None:
+    """Sizes, key maps and indexes all agree with the record lists, and
+    the record lists with what the sources hold now."""
+    from repro.cache.fragmentcache import estimate_result_bytes
+
+    cache = engine.fragment_cache
+    total = 0
+    readers: dict[tuple[str, str], set[str]] = {}
+    per_source: dict[str, int] = {}
+    for key, entry in cache._entries.items():
+        records = list(entry.records)
+        assert len(entry.records) == len(records)
+        assert entry.size_bytes == estimate_result_bytes(records)
+        total += entry.size_bytes
+        slots = entry.records._slots
+        if slots is not None:
+            assert [r for held in slots.values() for r in held] == records
+            for slot_key, held in slots.items():
+                assert held
+                assert all(r.get(entry.records._key_var) == slot_key
+                           for r in held)
+        fragment = entry.fragment
+        assert records == engine.catalog.registry.get(
+            fragment.source
+        ).execute(fragment)
+        per_source[fragment.source] = per_source.get(fragment.source, 0) + 1
+        for access in fragment.accesses:
+            readers.setdefault(
+                (fragment.source, access.relation), set()
+            ).add(key)
+    assert cache.current_bytes == total <= cache.max_bytes
+    assert {k: set(v) for k, v in cache._by_relation.items()} == readers
+    assert cache.entries_by_source() == per_source
+
+
+ROW_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "update", "delete"]),
+        st.integers(0, 99),
+        st.integers(0, 19),  # v: crossing 10 flips the row in or out
+        st.integers(0, 60),  # length of the text column
+    ),
+    max_size=8,
+)
+
+TAG_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "retag", "refan", "delete"]),
+        st.integers(0, 99),
+        st.integers(1, 12),
+    ),
+    max_size=4,
+)
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestCacheAccountingProperty:
+    @given(
+        n_rows=st.integers(2, 14),
+        # one that holds everything, one a few grown strings overflow
+        max_bytes=st.sampled_from([1 << 22, 9_000]),
+        batches=st.lists(st.tuples(ROW_OPS, TAG_OPS), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sizes_and_key_maps_track_every_patch(
+        self, n_rows, max_bytes, batches
+    ):
+        engine, source, xml, tags = build_cached_deployment(n_rows, max_bytes)
+        live = set(range(n_rows))
+        next_key = n_rows
+        for row_ops, tag_ops in batches:
+            for text in CACHED_QUERIES:
+                engine.query(text)  # (re)fill whatever was evicted
+            for kind, pick, v, length in row_ops:
+                if kind == "insert" or not live:
+                    source.insert_row(
+                        "t", {"k": next_key, "v": v, "s": "x" * length}
+                    )
+                    live.add(next_key)
+                    next_key += 1
+                    continue
+                key = sorted(live)[pick % len(live)]
+                if kind == "update":
+                    source.update_row("t", key, {"v": v, "s": "x" * length})
+                else:
+                    source.delete_row("t", key)
+                    live.discard(key)
+            for kind, pick, size in tag_ops:
+                if kind == "append" or not tags:
+                    tags[max(tags, default=0) + 1] = ["n"] * (size % 3)
+                    continue
+                key = sorted(tags)[pick % len(tags)]
+                if kind == "retag":  # same fan-out, longer text: in place
+                    tags[key] = ["g" * size] * len(tags[key])
+                elif kind == "refan":  # fan-out changes: unpatchable
+                    tags[key] = ["f"] * (size % 4)
+                else:
+                    del tags[key]
+            xml.replace_document("rows", _rows_document(tags))
+            engine.sync_changes()
+            assert_cache_consistent(engine)
+
+    def test_patch_growing_past_the_budget_evicts_lru(self):
+        engine, source, _xml, _tags = build_cached_deployment(8, 9_000)
+        cache = engine.fragment_cache
+        engine.query(CACHED_QUERIES[2])  # the LRU victim
+        engine.query(CACHED_QUERIES[0])
+        assert len(cache) == 2 and cache.evictions == 0
+        source.update_row("t", 7, {"s": "x" * 5_000})  # key 7: not in $k < 6
+        report = engine.sync_changes()
+        assert report["cache_patched"] == 1 and report["cache_evicted"] == 0
+        assert cache.evictions == 1 and len(cache) == 1
+        assert_cache_consistent(engine)
