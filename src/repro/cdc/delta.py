@@ -26,15 +26,17 @@ and extends it with **retraction**: count/sum/avg subtract exactly;
 min/max retraction is only unsupported when the retracted value *is*
 the current extreme (the next extreme is unknowable without the member
 list).  Aggregate values live in the states; group emission order and
-representatives are re-derived from the maintained base rows at
-finalize time, so output is bit-identical to
-:func:`construct.build_elements` over the full row stream.  (Float sums
+representatives are re-derived at finalize time — from the caller's
+base rows, or from the base *positions* the caller observed each row
+at — so output is bit-identical to :func:`construct.build_elements`
+over the full row stream.  (Float sums
 carry the usual caveat: ``a + b - b`` can differ from ``a`` in the last
 ulp; integer and string aggregates are exact.)
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -278,14 +280,21 @@ class DeltaJoin:
 
 
 class _DeltaGroupState:
-    """One group's mergeable slots plus a live member count."""
+    """One group's mergeable slots, a live member count and — for rows
+    observed with a base position — ``(position, row)`` in position
+    order, so the group's first base row is ``order[0]``."""
 
-    __slots__ = ("slots", "members")
+    __slots__ = ("slots", "members", "order")
 
     def __init__(self, n_aggregates: int):
         # count -> int; sum/avg -> [acc, present]; min/max -> [value, True]
         self.slots: list[Any] = [None] * n_aggregates
         self.members = 0
+        self.order: list[tuple] = []
+
+
+def _first_position(state: _DeltaGroupState):
+    return state.order[0][0]
 
 
 class DeltaGroups:
@@ -294,7 +303,11 @@ class DeltaGroups:
     ``observe`` folds initial base rows; ``apply_delta`` folds changes
     (retracting before-images, observing after-images); ``finalize``
     renders elements from the maintained states, taking group order and
-    representatives from the caller's base rows.
+    representatives from the caller's base rows.  A caller that passes
+    every row's base ``position`` (unique, ordered as the base rows are)
+    to ``observe``/``retract`` can render with ``finalize_positioned``
+    instead, which reads the states alone: a refresh then costs the
+    rows that changed and the groups emitted, never the rows held.
     """
 
     def __init__(self, template: ConstructTemplate):
@@ -309,20 +322,28 @@ class DeltaGroups:
 
     # -- folding ----------------------------------------------------------
 
-    def observe(self, row: BindingTuple) -> None:
+    def observe(self, row: BindingTuple, position=None) -> None:
         state = self._state(row, create=True)
         state.members += 1
+        if position is not None:
+            insort(state.order, (position, row))
         for index, item in enumerate(self.aggregates):
             value = self._value(row, item)
             if value is None:
                 continue
             self._fold(state, index, item.kind, value)
 
-    def retract(self, row: BindingTuple) -> None:
+    def retract(self, row: BindingTuple, position=None) -> None:
         state = self._state(row, create=False)
         if state is None or state.members <= 0:
             raise DeltaUnsupported("retraction of a row from an unknown group")
         state.members -= 1
+        if position is not None:
+            order = state.order
+            at = bisect_left(order, (position,))
+            if at == len(order) or order[at][0] != position:
+                raise DeltaUnsupported("retraction of an unobserved position")
+            del order[at]
         for index, item in enumerate(self.aggregates):
             value = self._value(row, item)
             if value is None:
@@ -347,30 +368,35 @@ class DeltaGroups:
         base row of each group is its representative, groups emit in
         first-seen order.
         """
-        return self.finalize_keyed(
-            (group_key(row, self.group_vars), row) for row in base_rows
-        )
-
-    def finalize_keyed(
-        self, keyed_rows: Iterable[tuple[tuple, BindingTuple]]
-    ) -> list[Element]:
-        """:meth:`finalize` over ``(group key, row)`` pairs, for a caller
-        that keeps each base row's key instead of recomputing it."""
         seen: set[tuple] = set()
         elements: list[Element] = []
-        for key, row in keyed_rows:
+        for row in base_rows:
+            key = group_key(row, self.group_vars)
             if key in seen:
                 continue
             seen.add(key)
             state = self.groups.get(key)
             if state is None:
                 raise DeltaUnsupported("group state missing for a base row")
-            synthetic = {
-                f"__agg_{index}": _finish(item.kind, state.slots[index])
-                for index, item in enumerate(self.aggregates)
-            }
-            elements.append(_build_one(self.template, row, synthetic))
+            elements.append(self._element(state, row))
         return elements
+
+    def finalize_positioned(self) -> list[Element]:
+        """:meth:`finalize` over the observed rows in position order,
+        without the walk: each group's lowest-positioned row represents
+        it and the groups emit in the order of those positions."""
+        states = list(self.groups.values())
+        if not all(len(state.order) == state.members for state in states):
+            raise DeltaUnsupported("a row was observed without a position")
+        states.sort(key=_first_position)
+        return [self._element(state, state.order[0][1]) for state in states]
+
+    def _element(self, state: _DeltaGroupState, row: BindingTuple) -> Element:
+        synthetic = {
+            f"__agg_{index}": _finish(item.kind, state.slots[index])
+            for index, item in enumerate(self.aggregates)
+        }
+        return _build_one(self.template, row, synthetic)
 
     # -- internals --------------------------------------------------------
 

@@ -256,15 +256,6 @@ class KeyedRecords:
             ]
         return iter(self._rows)
 
-    def copy(self) -> "KeyedRecords":
-        """An independent copy (records themselves are immutable)."""
-        clone = KeyedRecords.__new__(KeyedRecords)
-        clone._rows = self._rows
-        clone._slots = None if self._slots is None else dict(self._slots)
-        clone._key_var = self._key_var
-        clone._count = self._count
-        return clone
-
     def slots(self, key_var: str) -> dict[object, tuple[Record, ...]] | None:
         """The ``key -> records`` map in scan order (read-only), or None
         when the records cannot be addressed by ``key_var``."""

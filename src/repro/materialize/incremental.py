@@ -13,8 +13,9 @@ chosen per view at :meth:`maintain` time:
   template): each changed key's old rows are retracted from, and its
   new rows folded into, the per-group aggregate states
   (:class:`~repro.cdc.delta.DeltaGroups`), so the states update in
-  O(delta); rendering walks the kept ``(group key, row)`` pairs for
-  group order and representatives, never the base records;
+  O(delta); every row is observed at its base position, so rendering
+  reads group order and representatives off the states and costs the
+  groups emitted, not the rows held;
 * ``rows`` — any view whose fragments are all non-dependent,
   CDC-enabled and key-addressable.  When the view is one scan, its
   residual selects and a construct whose grouping variables include the
@@ -44,13 +45,13 @@ This module never imports the engine: it is handed one via
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 from repro.algebra.construct import build_elements
 from repro.algebra.merge import (
     collect_aggregates,
     flat_template,
-    group_key,
     template_group_vars,
 )
 from repro.algebra.tuples import BindingTuple
@@ -128,9 +129,14 @@ class MaintainedView:
         #: row key -> what that key's base records contribute, in base
         #: order and with an entry for every key held (an empty one when
         #: residual conditions drop the row, so a later flip-in lands in
-        #: place): (group key, row) pairs in ``groups`` mode, finished
-        #: elements in ``rows`` mode.  None when the plan re-runs.
+        #: place): finished elements in ``rows`` mode; in ``groups`` mode
+        #: ``(slot, rows)``, the rows observed by ``groups`` at positions
+        #: ``(slot, 0..)``.  None when the plan re-runs.
         self.derived: dict[object, tuple] | None = None
+        #: ``groups`` mode: the slot the next new key takes.  Slots only
+        #: grow, a replaced key keeps its own, so slot order is the base
+        #: (dict) order of ``derived``.
+        self.next_slot = 0
         self.elements: list = []
         self.delta_refreshes = 0
         self.full_rebuilds = 0
@@ -349,37 +355,25 @@ class IncrementalMaterializer:
             return
         if view.mode == "groups":
             view.groups = DeltaGroups(view.template)
-        view.derived = {
-            key: self._derive(view, held) for key, held in slots.items()
-        }
-        if view.mode == "groups":
-            for pairs in view.derived.values():
-                for _, row in pairs:
-                    view.groups.observe(row)
+            view.next_slot = 0
+        view.derived = {}
+        self._apply_touched(view, slots.items())
         self._render(view)
 
-    def _derive(self, view: MaintainedView,
-                records: tuple[Record, ...]) -> tuple:
-        """What one key's base records contribute to the output."""
+    def _rows(self, view: MaintainedView,
+              records: tuple[Record, ...]) -> list[BindingTuple]:
+        """One key's base records as the rows the residual selects keep."""
         rows = [BindingTuple(record.as_dict()) for record in records]
         for predicate in view.predicates:
             rows = [row for row in rows if predicate(row)]
-        if view.mode == "groups":
-            group_vars = view.groups.group_vars
-            return tuple((group_key(row, group_vars), row) for row in rows)
-        return tuple(build_elements(view.template, rows))
+        return rows
 
     def _render(self, view: MaintainedView) -> None:
         """The output from the per-key contributions, in base order."""
-        contributions = view.derived.values()
         if view.mode == "groups":
-            view.elements = view.groups.finalize_keyed(
-                pair for pairs in contributions for pair in pairs
-            )
+            view.elements = view.groups.finalize_positioned()
         else:
-            view.elements = [
-                element for built in contributions for element in built
-            ]
+            view.elements = list(chain.from_iterable(view.derived.values()))
 
     def _publish(self, view: MaintainedView) -> None:
         """Expose the elements through the materialization manager."""
@@ -405,8 +399,12 @@ class IncrementalMaterializer:
         stats = engine.cdc_stats
         delta_rows = 0
         changes = 0
-        # stage the patches; nothing is applied until every change fits
-        staged = {id(state): state.records.copy() for state in view.units}
+        # Patches land in place.  Until the last of them, and what
+        # derives from them, has landed, the view is half-moved and
+        # belongs to no epoch: a refresh that stops early (an unpatchable
+        # change, an unsupported retraction, an error) leaves it to be
+        # rebuilt, never patched again.
+        epoch, view.epoch = view.epoch, None
         #: (row key, the records it now holds) per effective change
         touched: list[tuple[object, tuple[Record, ...]]] = []
         for state in view.units:
@@ -416,7 +414,7 @@ class IncrementalMaterializer:
                 if change.relation != state.relation:
                     continue
                 decision, removed, added = apply_to_fragment(
-                    state.unit.fragment, staged[id(state)], change,
+                    state.unit.fragment, state.records, change,
                     state.key_field,
                 )
                 if decision == UNPATCHABLE:
@@ -426,17 +424,15 @@ class IncrementalMaterializer:
                 if removed or added:
                     touched.append((change.key, added))
 
-        if view.derived is not None:
+        if view.derived is None:
+            self._rebuild_output(view)
+        else:
             try:
                 self._apply_touched(view, touched)
                 self._render(view)
             except DeltaUnsupported:
-                view.epoch = None  # half-moved states must never patch again
                 return self._full_rebuild(view)
-        for state in view.units:
-            state.records = staged[id(state)]
-        if view.derived is None:
-            self._rebuild_output(view)
+        view.epoch = epoch
         # the refresh costs local delta work, never network
         engine.clock.advance(engine.cost_model.local_cost(delta_rows))
         view.high_water = {
@@ -455,18 +451,27 @@ class IncrementalMaterializer:
         """Move the per-key contributions (and group states) with the
         base: a key that lost its records leaves, a new key appends, a
         key that kept its slot is replaced in place."""
-        derived = view.derived
+        derived, groups = view.derived, view.groups
         for key, records in touched:
-            if view.mode == "groups":
-                for _, row in derived.get(key, ()):
-                    view.groups.retract(row)
+            rows = self._rows(view, records)
+            if groups is None:
+                if records:
+                    derived[key] = tuple(build_elements(view.template, rows))
+                else:
+                    derived.pop(key, None)
+                continue
+            slot, old_rows = derived.get(key, (None, ()))
+            for index, row in enumerate(old_rows):
+                groups.retract(row, (slot, index))
             if not records:
                 derived.pop(key, None)
                 continue
-            derived[key] = self._derive(view, records)
-            if view.mode == "groups":
-                for _, row in derived[key]:
-                    view.groups.observe(row)
+            if slot is None:
+                slot = view.next_slot
+                view.next_slot += 1
+            derived[key] = (slot, tuple(rows))
+            for index, row in enumerate(rows):
+                groups.observe(row, (slot, index))
 
     def _full_rebuild(self, view: MaintainedView) -> str:
         """The fallback: re-resolve, re-plan, re-fetch, re-publish."""

@@ -9,6 +9,8 @@ against a sharded scatter-gather execution as well as the coordinator.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.admin import FreshnessMonitor, ManagementConsole
@@ -349,6 +351,48 @@ class TestDeltaOperators:
             recomputed.observe(row)
         assert maintained == [serialize(e) for e in recomputed.finalize(final)]
 
+    def test_groups_positioned_render_matches_the_walk(self):
+        """Rows observed at their base positions render, from the states
+        alone, what ``finalize`` renders from a walk over the base rows:
+        a group is represented by its first base row and emitted where
+        that row stands — also after the representative moves away."""
+        template = template_to_construct(parse_query(
+            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
+            "CONSTRUCT <r id=$g><n>count($v)</n><s>sum($v)</s></r>"
+        ).construct)
+        rng = random.Random(5)
+        groups = DeltaGroups(template)
+        base: dict[tuple, BindingTuple] = {}  # position -> row, in order
+        for slot in range(40):
+            base[(slot, 0)] = _row(g=rng.randrange(6), v=rng.randrange(50))
+            groups.observe(base[(slot, 0)], (slot, 0))
+        next_slot = 40
+        for _ in range(200):
+            position = rng.choice(list(base))
+            groups.retract(base[position], position)
+            if rng.random() < 0.3:  # delete, and a new key appends
+                del base[position]
+                position = (next_slot, 0)
+                next_slot += 1
+            base[position] = _row(g=rng.randrange(6), v=rng.randrange(50))
+            groups.observe(base[position], position)
+            walked = groups.finalize(base[p] for p in sorted(base))
+            assert ([serialize(e) for e in groups.finalize_positioned()]
+                    == [serialize(e) for e in walked])
+        with pytest.raises(DeltaUnsupported):
+            groups.retract(base[position], (next_slot, 0))
+
+    def test_positioned_render_refuses_unpositioned_rows(self):
+        template = template_to_construct(parse_query(
+            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
+            "CONSTRUCT <r id=$g><n>count($v)</n></r>"
+        ).construct)
+        groups = DeltaGroups(template)
+        groups.observe(_row(g=1, v=3), (0, 0))
+        groups.observe(_row(g=1, v=8))
+        with pytest.raises(DeltaUnsupported):
+            groups.finalize_positioned()
+
     def test_min_retraction_of_extreme_unsupported(self):
         template = template_to_construct(parse_query(
             'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
@@ -429,19 +473,6 @@ class TestScope:
         keyed = KeyedRecords([Record({"k": 1})])
         wrong = FragmentPatch("update", "k", 1, rows=(Record({"k": 2}),))
         assert keyed.apply(wrong) is None
-
-    def test_keyed_records_copy_is_independent(self):
-        from repro.cdc import FragmentPatch, KeyedRecords
-        from repro.xmldm.values import Record
-
-        keyed = KeyedRecords([Record({"k": 1}), Record({"k": 2})])
-        keyed.apply(FragmentPatch("delete", "k", 2))
-        staged = keyed.copy()
-        assert staged.apply(
-            FragmentPatch("insert", "k", 3, rows=(Record({"k": 3}),))
-        ) == ((), (Record({"k": 3}),))
-        assert [r.get("k") for r in keyed] == [1] and len(keyed) == 1
-        assert [r.get("k") for r in staged] == [1, 3] and len(staged) == 2
 
 
 def _reference_patch_records(records, patch):
@@ -614,6 +645,33 @@ class TestIncrementalMaintenance:
         assert report["views"]["by_group"] == "delta"
         assert engine.cdc_stats.views_delta_refreshed == 1
         assert engine.cdc_stats.views_full_rebuilt == 0
+
+    @pytest.mark.parametrize("name", ["big_items", "by_group", "ranked_items"])
+    def test_refresh_that_stops_early_is_rebuilt_not_patched_again(
+        self, name, monkeypatch
+    ):
+        """Patches land in place, so a refresh an error cuts short
+        leaves base records ahead of the output and the high-water mark
+        behind both: the view belongs to no epoch and the next refresh
+        rebuilds it instead of applying the same changes twice."""
+        engine, source = build_deployment(seeded_rows(12))
+        view = engine.maintain_view(name)
+        before = maintained_elements(engine, name)
+        source.insert_row("t", {"k": 50, "grp": 1, "v": 9})
+        source.update_row("t", 5, {"v": 21})
+        with monkeypatch.context() as patched:
+            def broken(*_args):
+                raise RuntimeError("cut short")
+            patched.setattr(engine.incremental, "_render", broken)
+            patched.setattr(engine.incremental, "_rebuild_output", broken)
+            with pytest.raises(RuntimeError):
+                engine.sync_changes()
+        assert view.epoch is None
+        assert maintained_elements(engine, name) == before
+        assert engine.sync_changes()["views"][name] == "rebuild"
+        assert maintained_elements(engine, name) == fresh_elements(
+            engine, name
+        )
 
     def test_flip_in_falls_back_to_rebuild(self):
         engine, source = build_deployment(seeded_rows(12))
@@ -894,8 +952,9 @@ class TestSyncWorkScalesWithTheBatch:
     """One sync of a fixed batch costs the same work at 500 rows and at
     4,000.  Counted: ``record_bytes`` calls and every read of a base
     ``Record``.  Not counted, and still proportional to what is held:
-    C-level copies (the staged key map, the published element list) and
-    the ``groups`` view's pass over its kept ``(group key, row)`` pairs."""
+    C-level copies (the flattened and the published element list).  The
+    ``groups`` view renders from its group states
+    (``TestDeltaOperators.test_groups_positioned_render_matches_the_walk``)."""
 
     STORED = ('WHERE <i><k>$k</k><v>$v</v></i> IN "items", $k > 10 '
               "CONSTRUCT <r>$k</r>")
