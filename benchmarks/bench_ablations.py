@@ -125,9 +125,10 @@ def ablation_view_memo() -> list[list]:
 
             original = engine_module._ExecutionContext.fetch_view
 
-            def uncached(self, view):
+            def uncached(self, view, rows=False):
                 result = self.engine._execute(
-                    view.query, self.policy, self.required_sources, parent=self
+                    view, self.policy, self.required_sources, parent=self,
+                    view_rows=rows,
                 )
                 return result.elements
 

@@ -37,10 +37,17 @@ from repro.algebra.construct import (
     _numeric_or_self,
     build_elements,
 )
+from repro.algebra.grouping import _aggregate
 from repro.algebra.operators import SortKeys, sort_rows
 from repro.algebra.tuples import BindingTuple
 from repro.xmldm.nodes import Element
-from repro.xmldm.values import NULL, Null, _comparison_key, compare_values
+from repro.xmldm.values import (
+    NULL,
+    Null,
+    Record,
+    _comparison_key,
+    compare_values,
+)
 
 
 def _aggregate_only(template: ConstructTemplate) -> bool:
@@ -90,7 +97,7 @@ def template_group_vars(template: ConstructTemplate) -> tuple[str, ...]:
     return template.direct_vars() or template.all_vars()
 
 
-def group_key(row: BindingTuple, group_vars: Sequence[str]) -> tuple:
+def group_key(row: BindingTuple | Record, group_vars: Sequence[str]) -> tuple:
     return tuple(_comparison_key(row.get(var, NULL)) for var in group_vars)
 
 
@@ -312,6 +319,49 @@ def _build_one(
     return built[0]
 
 
+def slot_form(
+    template: ConstructTemplate,
+) -> tuple[ConstructTemplate, tuple[tuple[str, str, str], ...]]:
+    """What construction from finished per-group aggregates needs: the
+    template reading each aggregate from its slot variable, and the
+    ``(kind, var, slot variable)`` of every aggregate in slot order.
+    Rows binding the grouping variables and the slot variables — shard
+    partials here, a source's ``GROUP BY`` result in the planner — build
+    the elements the original template builds over the member rows."""
+    aggregates = collect_aggregates(template)
+    slots = tuple(
+        (item.kind, item.var, _slot_var(index))
+        for index, item in enumerate(aggregates)
+    )
+    return _rewrite(template, iter(range(len(aggregates)))), slots
+
+
+def group_records(
+    records: Sequence[Record],
+    group_vars: Sequence[str],
+    aggregates: Sequence[tuple[str, str, str]],
+) -> list[Record]:
+    """The result of a source-side grouping, computed here from the
+    ungrouped ``records`` with :func:`build_elements`' own semantics:
+    groups in first-appearance order carrying their first record's
+    grouping values, each ``(kind, var, out_var)`` folded over the
+    group's non-NULL values (coerced like template aggregates).  For a
+    holder of rows standing in for a source that would have grouped."""
+    groups: dict[tuple, list[Record]] = {}
+    for record in records:
+        groups.setdefault(group_key(record, group_vars), []).append(record)
+    grouped: list[Record] = []
+    for members in groups.values():
+        fields = {var: members[0].get(var) for var in group_vars}
+        for kind, var, out_var in aggregates:
+            values = [member.get(var) for member in members]
+            if kind != "count":
+                values = [_numeric_or_self(value) for value in values]
+            fields[out_var] = _aggregate(kind, values)
+        grouped.append(Record(fields))
+    return grouped
+
+
 def _rewrite(template: ConstructTemplate, counter) -> ConstructTemplate:
     """Swap each aggregate (document order) for its slot variable."""
     children: list[Any] = []
@@ -347,8 +397,10 @@ __all__ = [
     "dedup_rows",
     "flat_template",
     "group_key",
+    "group_records",
     "merge_sorted",
     "rows_wire_size",
+    "slot_form",
     "sort_rows",
     "template_group_vars",
     "topk_rows",

@@ -185,9 +185,10 @@ def fragment_patch(
     None means "not patchable — evict".  Requires a single access over
     the changed relation that binds the key field to an *output*
     variable (so patched records can be located), and a change whose
-    row images reconstruct exactly.
+    row images reconstruct exactly.  A grouped fragment holds groups,
+    not rows: one changed row moves aggregates, never a record.
     """
-    if change.op == "reset":
+    if change.op == "reset" or fragment.grouping is not None:
         return None
     if len(fragment.accesses) != 1 or fragment.input_vars:
         return None

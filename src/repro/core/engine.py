@@ -6,7 +6,7 @@ import math
 import time
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.cache.feedback import StatisticsFeedback
@@ -19,6 +19,7 @@ from repro.errors import (
     SourceUnavailableError,
 )
 from repro.algebra.construct import build_elements
+from repro.algebra.merge import group_records
 from repro.algebra.tuples import BindingTuple
 from repro.algebra.vector import ColumnStatsRepository
 from repro.algebra.viewmatch import ViewRows
@@ -377,6 +378,22 @@ class _ExecutionContext:
             return None
         if engine.resilience is not None and not engine.resilience.allow_stale:
             return None
+        served = self._degraded_rungs(fragment)
+        if served is None and fragment.grouping is not None:
+            # nobody holds these groups; whoever holds the rows under
+            # them still answers, grouped here as the source would have
+            served = self._degraded_rungs(replace(fragment, grouping=None))
+            if served is not None:
+                rows, origin, age_ms = served
+                grouping = fragment.grouping
+                served = (group_records(rows, grouping.group_vars,
+                                        grouping.aggregates), origin, age_ms)
+        return served
+
+    def _degraded_rungs(
+        self, fragment: Fragment
+    ) -> tuple[list[Record], str, float] | None:
+        engine = self.engine
         if engine.materializer is not None:
             served = engine.materializer.serve(fragment, allow_stale=True)
             if served is not None:
@@ -827,17 +844,19 @@ class _ExecutionContext:
     def column_stats_for(self, unit: FragmentUnit):
         """The stats table batch shredding should populate, or None.
 
-        Only unconditioned, non-parameterized fragments contribute: a
-        conditioned fetch observes a filtered subset whose bounds
-        under-cover the relation, which would make stats-based shard
-        skipping unsound.  Keying by access shape lets any later query
-        over the same accesses reuse the full-scan statistics.
+        Only unconditioned, non-parameterized, ungrouped fragments
+        contribute: a conditioned fetch observes a filtered subset whose
+        bounds under-cover the relation, which would make stats-based
+        shard skipping unsound, and a grouped one observes groups, not
+        the relation's rows.  Keying by access shape lets any later
+        query over the same accesses reuse the full-scan statistics.
         """
         repo = self.engine.column_stats
         if repo is None:
             return None
         fragment = unit.fragment
-        if fragment.conditions or fragment.input_vars:
+        if (fragment.conditions or fragment.input_vars
+                or fragment.grouping is not None):
             return None
         return repo.table(access_key(fragment))
 
@@ -1309,7 +1328,9 @@ class NimbleEngine:
         decomposed = self._compile(text)
         context = _ExecutionContext(self, PartialResultPolicy.FAIL, frozenset())
         count = 0
-        for unit in decomposed.units:
+        grouped = decomposed.grouped  # what the query runs when it can
+        units = decomposed.units if grouped is None else [grouped[0]]
+        for unit in units:
             if not isinstance(unit, FragmentUnit) or unit.dependent:
                 continue
             if self.materializer.store.get(

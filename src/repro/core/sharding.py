@@ -85,6 +85,7 @@ def retarget(decomposed: DecomposedQuery,
         units,
         decomposed.residual_conditions,
         decomposed.pushed_conditions,
+        decomposed.pushdown,
     )
 
 

@@ -350,7 +350,8 @@ class IncrementalMaterializer:
             context = _LocalContext(
                 {id(state.unit): state.records for state in view.units}
             )
-            plan = self._engine().builder.build(view.decomposed, context)
+            plan = self._engine().builder.build(view.decomposed, context,
+                                                held_rows=True)
             view.elements = plan.results()
             return
         if view.mode == "groups":

@@ -7,6 +7,10 @@ A materialized view MV answers a fragment F when
 * every condition of MV is implied by the conditions of F — i.e. MV is
   *at most as restrictive*, so its stored rows are a superset of F's.
 
+A fragment with a grouping (aggregate pushdown) holds groups, not rows,
+and takes no part in containment: it answers, and is answered by, the
+identical fragment only.
+
 The implication check is sound but incomplete: syntactic containment of
 canonicalized condition strings, extended with one-sided range
 implication (``x > 10`` implies ``x > 5``), equality-to-range
@@ -59,7 +63,16 @@ def fragment_key(fragment: Fragment) -> str:
     conditions = "&".join(sorted(condition_text(c) for c in fragment.conditions))
     inputs = ",".join(fragment.input_vars)
     key = f"{fragment.source}|{accesses}|{conditions}|{inputs}"
-    if fragment.columns:
+    if fragment.grouping is not None:
+        # a grouped result holds groups, not rows: never the same entry
+        # as the ungrouped fragment or as another grouping of it
+        grouping = fragment.grouping
+        aggregates = ",".join(
+            f"{kind}({var})->{out_var}"
+            for kind, var, out_var in grouping.aggregates
+        )
+        key += f"|group={','.join(grouping.group_vars)}:{aggregates}"
+    elif fragment.columns:
         # projection pushdown narrows identity; unprojected fragments
         # keep their legacy keys
         key += f"|cols={','.join(sorted(fragment.columns))}"
@@ -215,6 +228,11 @@ def matches(view_fragment: Fragment, query_fragment: Fragment) -> tuple[bool, li
     """
     if view_fragment.input_vars or query_fragment.input_vars:
         return False, []  # parameterized fragments are not materialized
+    if view_fragment.grouping is not None or query_fragment.grouping is not None:
+        # groups cannot be filtered into narrower groups, rows cannot
+        # stand in for groups, nor groups for rows: only the identical
+        # fragment answers
+        return fragment_key(view_fragment) == fragment_key(query_fragment), []
     if access_key(view_fragment) != access_key(query_fragment):
         return False, []
     if view_fragment.columns:

@@ -148,7 +148,23 @@ class CostModel:
             )
         if fragment.input_vars:
             rows = max(1.0, rows * 0.01)  # parameterized calls are selective
+        if fragment.grouping is not None:
+            rows = min(rows, self._distinct_groups(fragment))
         return max(rows, 0.01)
+
+    def _distinct_groups(self, fragment: Fragment) -> float:
+        """An upper bound on a grouped fragment's groups: the product of
+        its grouping variables' observed distinct counts (NULL is a
+        group too), or no bound when a variable has no statistics —
+        groups never outnumber the rows they summarize."""
+        groups = 1.0
+        for var in fragment.grouping.group_vars:
+            stats = (self.column_stats(fragment, var)
+                     if self.column_stats is not None else None)
+            if stats is None:
+                return math.inf
+            groups *= stats.distinct + (1 if stats.nulls else 0)
+        return groups
 
     def estimate(self, fragment: Fragment, source: DataSource) -> FragmentEstimate:
         if self.residency is not None:

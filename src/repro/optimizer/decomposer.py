@@ -15,6 +15,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Union
 
+from repro.algebra.construct import ConstructTemplate
+from repro.algebra.merge import (
+    collect_aggregates,
+    flat_template,
+    slot_form,
+    template_group_vars,
+)
 from repro.algebra.viewmatch import FusedMatch, fuse
 from repro.errors import PlanningError
 from repro.mediator.catalog import Catalog, DocumentTarget
@@ -23,7 +30,7 @@ from repro.mediator.schema import ViewDef
 from repro.query import ast as qast
 from repro.query.binder import BoundQuery
 from repro.query.translate import pattern_to_tree, template_to_construct
-from repro.sources.base import Access, DataSource, Fragment
+from repro.sources.base import Access, DataSource, Fragment, Grouping
 from repro.sources.webservice import WebServiceSource
 
 
@@ -77,6 +84,25 @@ class DecomposedQuery:
     units: list[Unit]
     residual_conditions: list[qast.Expr]
     pushed_conditions: list[qast.Expr] = field(default_factory=list)
+    #: compiled with pushdown: work the sources' profiles admit is theirs
+    pushdown: bool = False
+
+    @cached_property
+    def grouped(self) -> tuple[FragmentUnit, ConstructTemplate] | None:
+        """The query as one grouped fetch, or None.
+
+        When the whole query is a flat aggregate template over one
+        fragment of a source that can group, the source can answer it in
+        groups: the pair is that fragment with the template's grouping
+        pushed into it, and the template that builds the same elements
+        from one row per group (each aggregate read from its slot
+        variable).  ``units`` keeps the row fragment — shard partials,
+        view matching and delta maintenance fold rows — and only a plan
+        that builds this query's elements from live sources may take the
+        grouped form.  Computed once per compiled query, so the plan
+        cache keeps it.
+        """
+        return _grouped_form(self) if self.pushdown else None
 
     def describe(self) -> str:
         lines = [unit.describe() for unit in self.units]
@@ -127,7 +153,72 @@ def decompose(
     if projection:
         _prune_columns(units, bound, residual)
     _check_dependencies(units, bound)
-    return DecomposedQuery(bound, units, residual, pushed)
+    return DecomposedQuery(bound, units, residual, pushed, pushdown)
+
+
+def _grouped_form(
+    decomposed: DecomposedQuery,
+) -> tuple[FragmentUnit, ConstructTemplate] | None:
+    """The qualifying shape of aggregate pushdown; each test names the
+    answer that would otherwise differ from the mediator's."""
+    if len(decomposed.units) != 1 or decomposed.residual_conditions:
+        return None  # a join or a filter still has to see rows
+    unit = decomposed.units[0]
+    if (
+        not isinstance(unit, FragmentUnit)
+        or unit.dependent
+        or not unit.source.capabilities.aggregates
+    ):
+        return None
+    query = decomposed.bound.query
+    template = template_to_construct(query.construct)
+    aggregates = collect_aggregates(template)
+    group_vars = template_group_vars(template)
+    # no grouping variable: SQL's global aggregate answers one row over
+    # an empty input where CONSTRUCT builds no element
+    if not (aggregates and group_vars and flat_template(template)):
+        return None
+    types = _column_types(unit)
+    if any(var not in types for var in group_vars):
+        return None
+    for item in aggregates:
+        declared = types.get(item.var)
+        # the mediator coerces numeric-looking strings before sum/avg/
+        # min/max and orders mixed types; SQL does neither
+        if declared is None or (item.kind != "count" and declared != "number"):
+            return None
+    if any(
+        not qast.expr_variables(spec.expr) <= set(group_vars)
+        for spec in query.order_by
+    ):
+        return None  # the sort key is not a function of the group
+    rewritten, slots = slot_form(template)
+    fragment = replace(
+        unit.fragment, columns=(), grouping=Grouping(group_vars, slots)
+    )
+    grouped = replace(
+        unit, fragment=fragment, variables=fragment.output_variables()
+    )
+    return grouped, rewritten
+
+
+def _column_types(unit: FragmentUnit) -> dict[str, str]:
+    """variable -> declared type of the column it reads (the first
+    binding of a repeated variable, as the generated SQL selects it)."""
+    relations = unit.source.relations()
+    types: dict[str, str] = {}
+    for access in unit.fragment.accesses:
+        relation = relations.get(access.relation)
+        if relation is None:
+            continue  # the source rejects the fragment when it runs
+        declared = {column.name: column.type for column in relation.fields}
+        pattern = access.pattern
+        bound = [(a.name, a.var) for a in pattern.attributes]
+        bound += [(child.tag, child.text_var) for child in pattern.children]
+        for name, var in bound:
+            if var is not None and name in declared:
+                types.setdefault(var, declared[name])
+    return types
 
 
 def _prune_columns(

@@ -137,11 +137,29 @@ class PlanBuilder:
         decomposed: DecomposedQuery,
         context: ExecutionContext,
         output_var: str | None = "result",
+        held_rows: bool = False,
     ) -> Plan:
         """The whole query; with ``output_var=None`` the ordered binding
-        rows its CONSTRUCT would consume (a view answered as rows)."""
+        rows its CONSTRUCT would consume (a view answered as rows).
+
+        A query the source can answer in groups
+        (:attr:`DecomposedQuery.grouped`) scans the grouped fragment and
+        constructs from one row per group.  Only a plan that builds
+        elements takes it — a caller asking for binding rows folds them
+        itself — and only against live sources: ``held_rows`` says the
+        context serves rows it already holds for ``decomposed.units``
+        (the incremental materializer's local re-run).
+        """
         query = decomposed.bound.query
-        root = self.build_binding_tree(decomposed, context)
+        grouped = None
+        if output_var is not None and not held_rows:
+            grouped = decomposed.grouped
+        if grouped is not None:
+            unit, template = grouped
+            root = self._unit_operator(unit, context)
+        else:
+            template = template_to_construct(query.construct)
+            root = self.build_binding_tree(decomposed, context)
         if query.order_by:
             keys = [
                 (compile_sort_key(spec.expr), spec.descending)
@@ -152,7 +170,7 @@ class PlanBuilder:
             if query.limit is not None:
                 raise PlanningError("LIMIT counts elements, not binding rows")
             return Plan(root)
-        root = Construct(root, template_to_construct(query.construct), output_var)
+        root = Construct(root, template, output_var)
         if query.limit is not None:
             root = Limit(root, query.limit)
         root = fuse_sort_limit(root)

@@ -31,6 +31,28 @@ class Access:
 
 
 @dataclass(frozen=True)
+class Grouping:
+    """GROUP BY evaluated at the source.
+
+    The result then holds **groups, not rows**: one record per distinct
+    combination of ``group_vars``, in the order the ungrouped scan first
+    meets each combination, carrying the group variables as that first
+    row bound them plus one field per aggregate.  ``aggregates`` are
+    ``(kind, var, out_var)``: ``kind`` (count/sum/avg/min/max) over the
+    non-NULL values of ``var``, returned as ``out_var``.  Conditions
+    filter rows before they are grouped.
+    """
+
+    group_vars: tuple[str, ...]
+    aggregates: tuple[tuple[str, str, str], ...]
+
+    def describe(self) -> str:
+        aggregates = ",".join(f"{kind}({var})"
+                              for kind, var, _ in self.aggregates)
+        return f"group={','.join(self.group_vars)} aggs={aggregates}"
+
+
+@dataclass(frozen=True)
 class Fragment:
     """A single-source query fragment the compiler pushes to a wrapper.
 
@@ -42,7 +64,10 @@ class Fragment:
     * ``columns`` — projection pushdown: the subset of the fragment's
       variables the caller actually needs.  Empty means *all* variables.
       Conditions may still reference pruned variables (they are
-      evaluated at the source, before projection).
+      evaluated at the source, before projection);
+    * ``grouping`` — aggregate pushdown: the source groups the rows the
+      rest of the fragment selects and returns one record per group
+      (see :class:`Grouping`); ``columns`` plays no part then.
     """
 
     source: str
@@ -50,6 +75,7 @@ class Fragment:
     conditions: tuple[qast.Expr, ...] = ()
     input_vars: tuple[str, ...] = ()
     columns: tuple[str, ...] = ()
+    grouping: Grouping | None = None
 
     def variables(self) -> tuple[str, ...]:
         names: list[str] = []
@@ -59,6 +85,10 @@ class Fragment:
 
     def output_variables(self) -> tuple[str, ...]:
         """The variables results actually carry (after projection)."""
+        if self.grouping is not None:
+            return self.grouping.group_vars + tuple(
+                out_var for _, _, out_var in self.grouping.aggregates
+            )
         if not self.columns:
             return self.variables()
         keep = set(self.columns)
@@ -76,7 +106,9 @@ class Fragment:
             f"Fragment({self.source}: {accesses}; "
             f"{len(self.conditions)} conds; vars={','.join(self.variables())}"
         )
-        if self.columns:
+        if self.grouping is not None:
+            text += f"; {self.grouping.describe()}"
+        elif self.columns:
             text += f"; cols={','.join(self.columns)}"
         return text + ")"
 
@@ -92,7 +124,7 @@ class CapabilityProfile:
     selections: bool = False        # can apply condition expressions
     projections: bool = False       # can return a subset of fields
     joins: bool = False             # can join relations within one fragment
-    aggregates: bool = False        # reserved for future aggregate pushdown
+    aggregates: bool = False        # can evaluate a fragment's grouping
     parameterized: bool = False     # supports input_vars (dependent access)
     requires_parameters: bool = False  # *only* answers parameterized calls
     batch_parameters: bool = False  # accepts many parameter sets per call
@@ -358,6 +390,10 @@ class DataSource:
         if fragment.input_vars and not profile.parameterized:
             raise CapabilityError(
                 f"source {self.name!r} does not accept parameters"
+            )
+        if fragment.grouping is not None and not profile.aggregates:
+            raise CapabilityError(
+                f"source {self.name!r} cannot group and aggregate"
             )
         if fragment.columns and not profile.projections:
             raise CapabilityError(

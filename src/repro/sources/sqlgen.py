@@ -6,7 +6,9 @@ queried, then the compiler generates SQL" (section 2.1).  A fragment's
 accesses become FROM entries, shared variables become join predicates,
 pattern literals and pushed conditions become the WHERE clause, and the
 pattern's variables become the SELECT list (aliased by variable name so
-results bind directly).
+results bind directly).  A fragment's grouping becomes ``GROUP BY``
+over the grouping variables' columns, with one aggregate call per
+``(kind, var, out_var)`` aliased by its out variable.
 """
 
 from __future__ import annotations
@@ -55,15 +57,26 @@ class _Generator:
             alias = f"t{index}"
             from_parts.append(f"{access.relation} {alias}")
             self._bind_pattern(access.pattern, alias)
-        # projection pushdown: SELECT only the requested columns; the
-        # full var map stays so joins and conditions may still reference
-        # pruned variables (they are evaluated before projection)
-        wanted = set(self.fragment.columns)
-        select_parts = [
-            f"{alias}.{column} AS {var}"
-            for var, (alias, column) in self.var_columns.items()
-            if not wanted or var in wanted
-        ]
+        grouping = self.fragment.grouping
+        if grouping is not None:
+            group_parts = [self._column(var) for var in grouping.group_vars]
+            select_parts = [
+                f"{part} AS {var}"
+                for part, var in zip(group_parts, grouping.group_vars)
+            ] + [
+                f"{kind.upper()}({self._column(var)}) AS {out_var}"
+                for kind, var, out_var in grouping.aggregates
+            ]
+        else:
+            # projection pushdown: SELECT only the requested columns; the
+            # full var map stays so joins and conditions may still
+            # reference pruned variables (evaluated before projection)
+            wanted = set(self.fragment.columns)
+            select_parts = [
+                f"{alias}.{column} AS {var}"
+                for var, (alias, column) in self.var_columns.items()
+                if not wanted or var in wanted
+            ]
         if not select_parts:
             raise CapabilityError("fragment binds no variables")
         for condition in self.fragment.conditions:
@@ -72,7 +85,17 @@ class _Generator:
         sql = f"SELECT {', '.join(select_parts)} FROM {', '.join(from_parts)}"
         if where_parts:
             sql += " WHERE " + " AND ".join(where_parts)
+        if grouping is not None and group_parts:
+            sql += " GROUP BY " + ", ".join(group_parts)
         return GeneratedSQL(sql, tuple(self.params))
+
+    def _column(self, var: str) -> str:
+        if var not in self.var_columns:
+            raise CapabilityError(
+                f"fragment groups or aggregates ${var}, which it does not bind"
+            )
+        alias, column = self.var_columns[var]
+        return f"{alias}.{column}"
 
     def _bind_pattern(self, pattern, alias: str) -> None:
         """Map a flat access pattern onto columns of one table."""

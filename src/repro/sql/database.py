@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import SQLSchemaError
@@ -102,9 +103,8 @@ class Database:
     # -- execution ---------------------------------------------------------------
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        """Parse and run one statement."""
-        statement = parse_statement(sql)
-        return self.execute_statement(statement, params)
+        """Parse (once per statement text) and run one statement."""
+        return self.execute_statement(_parse_once(sql), params)
 
     def execute_script(self, sql: str) -> None:
         """Run a ';'-separated script (DDL/DML, results discarded)."""
@@ -115,9 +115,9 @@ class Database:
         self, statement: ast.Statement, params: Sequence[Any] = ()
     ) -> ResultSet:
         self.counters["statements"] += 1
-        evaluator = Evaluator(tuple(params))
         if isinstance(statement, ast.SelectStmt):
-            return self._run_select(statement, evaluator)
+            return self._run_select(statement, tuple(params))
+        evaluator = Evaluator(tuple(params))
         if isinstance(statement, ast.InsertStmt):
             return self._run_insert(statement, evaluator)
         if isinstance(statement, ast.UpdateStmt):
@@ -136,7 +136,7 @@ class Database:
 
     def explain(self, sql: str) -> str:
         """Return the physical plan for a SELECT as indented text."""
-        statement = parse_statement(sql)
+        statement = _parse_once(sql)
         if not isinstance(statement, ast.SelectStmt):
             raise SQLSchemaError("EXPLAIN supports only SELECT")
         prepared = Planner(self.tables, self.counters).plan(statement)
@@ -144,13 +144,14 @@ class Database:
 
     # -- statement runners ---------------------------------------------------------
 
-    def _run_select(self, stmt: ast.SelectStmt, evaluator: Evaluator) -> ResultSet:
+    def _run_select(self, stmt: ast.SelectStmt, params: tuple) -> ResultSet:
         prepared: PreparedSelect = Planner(self.tables, self.counters).plan(stmt)
-        rows: list[tuple] = []
-        for row in prepared.root.rows(evaluator):
-            rows.append(
-                tuple(evaluator.evaluate(expr, row) for expr in prepared.output_exprs)
-            )
+        evaluator = Evaluator(params, prepared.aggregate_calls)
+        outputs = [evaluator.compile(expr) for expr in prepared.output_exprs]
+        rows = [
+            tuple([output(row) for output in outputs])
+            for row in prepared.root.rows(evaluator)
+        ]
         if prepared.distinct:
             rows = _distinct(rows)
         return ResultSet(prepared.column_names, rows)
@@ -173,33 +174,37 @@ class Database:
     def _run_update(self, stmt: ast.UpdateStmt, evaluator: Evaluator) -> ResultSet:
         table = self.table(stmt.table)
         names = table.schema.column_names
-        targets: list[int] = []
-        for rowid, values in table.scan():
-            row = Row({stmt.table: dict(zip(names, values))})
-            if stmt.where is None or evaluator.truth(stmt.where, row):
-                targets.append(rowid)
-        for rowid in targets:
+        assignments = [
+            (column, evaluator.compile(expr))
+            for column, expr in stmt.assignments
+        ]
+        for rowid in self._matching_rowids(stmt.table, stmt.where, evaluator):
             values = table.get(rowid)
             assert values is not None
             row = Row({stmt.table: dict(zip(names, values))})
-            changes = {
-                column: evaluator.evaluate(expr, row)
-                for column, expr in stmt.assignments
-            }
-            table.update(rowid, changes)
+            table.update(
+                rowid, {column: value(row) for column, value in assignments}
+            )
         return ResultSet((), [])
 
     def _run_delete(self, stmt: ast.DeleteStmt, evaluator: Evaluator) -> ResultSet:
         table = self.table(stmt.table)
-        names = table.schema.column_names
-        targets = []
-        for rowid, values in table.scan():
-            row = Row({stmt.table: dict(zip(names, values))})
-            if stmt.where is None or evaluator.truth(stmt.where, row):
-                targets.append(rowid)
-        for rowid in targets:
+        for rowid in self._matching_rowids(stmt.table, stmt.where, evaluator):
             table.delete(rowid)
         return ResultSet((), [])
+
+    def _matching_rowids(self, table_name: str, where: ast.Expr | None,
+                         evaluator: Evaluator) -> list[int]:
+        """Rowids WHERE keeps, collected before any of them is touched."""
+        table = self.table(table_name)
+        if where is None:
+            return [rowid for rowid, _ in table.scan()]
+        names = table.schema.column_names
+        keep = evaluator.compile(where)
+        return [
+            rowid for rowid, values in table.scan()
+            if keep(Row({table_name: dict(zip(names, values))})) is True
+        ]
 
     def _run_create_table(self, stmt: ast.CreateTableStmt) -> ResultSet:
         columns = tuple(
@@ -224,6 +229,15 @@ class Database:
             table.insert(row)
             count += 1
         return count
+
+
+@lru_cache(maxsize=512)
+def _parse_once(sql: str) -> ast.Statement:
+    """The statement tree of ``sql``, shared by every execution of that
+    text: the AST is frozen dataclasses all the way down, so sharing is
+    safe, and a parse error raises without being remembered.  Planning
+    stays per call — it reads the live indexes."""
+    return parse_statement(sql)
 
 
 def _distinct(rows: list[tuple]) -> list[tuple]:

@@ -8,204 +8,374 @@ tuples.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator
+from functools import lru_cache
+from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError, SQLError
 from repro.sql import ast
-from repro.sql.functions import AGGREGATE_NAMES, SCALAR_FUNCTIONS, Aggregator
+from repro.sql.functions import (
+    AGGREGATE_NAMES,
+    SCALAR_FUNCTIONS,
+    Aggregator,
+    make_aggregator,
+)
 from repro.sql.index import SortedIndex
 from repro.sql.storage import Table
-from repro.sql.types import is_truthy, sort_key, sql_compare
+from repro.sql.types import sort_key, sql_compare
 
 Env = dict[str, dict[str, Any]]
-AggMap = dict[ast.Expr, Any]
+#: one compiled expression: built once per statement per plan node,
+#: called once per row
+Compiled = Callable[["Row"], Any]
 
 
 @dataclass
 class Row:
-    """One row in flight: bindings plus (for grouped queries) aggregates."""
+    """One row in flight: bindings plus (for grouped queries) the
+    group's aggregate results, in the statement's aggregate-call order."""
 
     env: Env
-    aggregates: AggMap | None = None
+    aggregates: list[Any] | None = None
+
+
+_NUMBERS = frozenset({int, float})
+
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        return None  # SQL-style: division by zero yields NULL
+    result = left / right
+    if isinstance(left, int) and isinstance(right, int) and left % right == 0:
+        return left // right
+    return result
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    return None if right == 0 else left % right
+
+
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+}
 
 
 class Evaluator:
-    """Evaluates SQL expressions against a row environment."""
+    """Turns SQL expressions into closures over a row environment.
 
-    def __init__(self, params: tuple[Any, ...] = ()):
+    ``aggregate_calls`` are the statement's aggregate calls in the order
+    :class:`AggregateNode` computes them: an aggregate call compiles to
+    a read of that position of ``Row.aggregates``.
+    """
+
+    def __init__(self, params: tuple[Any, ...] = (),
+                 aggregate_calls: tuple[ast.FuncCall, ...] = ()):
         self.params = params
+        self._aggregate_slots = {
+            call: slot for slot, call in enumerate(aggregate_calls)
+        }
+
+    def compile(self, expr: ast.Expr) -> Compiled:
+        """The closure evaluating ``expr`` against a :class:`Row`.
+
+        Everything that does not depend on the row is decided here:
+        which operator, which function, which aggregate slot.  Errors
+        that depend on the rows seen (an unknown column, bad operands,
+        a missing parameter) are raised by the closure, so a statement
+        over no rows fails exactly when its interpretation would have.
+        """
+        build = _COMPILERS.get(type(expr))
+        if build is None:
+            raise ExecutionError(f"cannot evaluate {expr!r}")
+        return build(self, expr)
 
     def evaluate(self, expr: ast.Expr, row: Row) -> Any:
-        if row.aggregates is not None and expr in row.aggregates:
-            return row.aggregates[expr]
-        method = getattr(self, f"_eval_{type(expr).__name__.lower()}", None)
-        if method is None:
-            raise ExecutionError(f"cannot evaluate {expr!r}")
-        return method(expr, row)
-
-    def truth(self, expr: ast.Expr, row: Row) -> bool:
-        return is_truthy(self.evaluate(expr, row))
+        return self.compile(expr)(row)
 
     # -- expression cases ----------------------------------------------------
 
-    def _eval_literal(self, expr: ast.Literal, row: Row) -> Any:
-        return expr.value
+    def _literal(self, expr: ast.Literal) -> Compiled:
+        value = expr.value
+        return lambda row: value
 
-    def _eval_param(self, expr: ast.Param, row: Row) -> Any:
-        try:
-            return self.params[expr.index]
-        except IndexError:
+    def _param(self, expr: ast.Param) -> Compiled:
+        if expr.index < len(self.params):
+            value = self.params[expr.index]
+            return lambda row: value
+
+        def missing(row: Row) -> Any:
             raise ExecutionError(
                 f"statement uses parameter {expr.index + 1} but only "
                 f"{len(self.params)} supplied"
-            ) from None
-
-    def _eval_columnref(self, expr: ast.ColumnRef, row: Row) -> Any:
-        env = row.env
-        if expr.table is not None:
-            binding = env.get(expr.table)
-            if binding is None:
-                raise ExecutionError(f"unknown table binding {expr.table!r}")
-            if expr.column not in binding:
-                raise ExecutionError(f"no column {expr.column!r} in {expr.table!r}")
-            return binding[expr.column]
-        hits = [b for b in env.values() if expr.column in b]
-        if not hits:
-            raise ExecutionError(f"unknown column {expr.column!r}")
-        if len(hits) > 1:
-            raise ExecutionError(f"ambiguous column {expr.column!r}")
-        return hits[0][expr.column]
-
-    def _eval_binaryop(self, expr: ast.BinaryOp, row: Row) -> Any:
-        op = expr.op
-        if op == "AND":
-            left = self.evaluate(expr.left, row)
-            if left is False:
-                return False
-            right = self.evaluate(expr.right, row)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "OR":
-            left = self.evaluate(expr.left, row)
-            if left is True:
-                return True
-            right = self.evaluate(expr.right, row)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = self.evaluate(expr.left, row)
-        right = self.evaluate(expr.right, row)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            cmp = sql_compare(left, right)
-            if cmp is None:
-                return None
-            return {
-                "=": cmp == 0,
-                "<>": cmp != 0,
-                "<": cmp < 0,
-                "<=": cmp <= 0,
-                ">": cmp > 0,
-                ">=": cmp >= 0,
-            }[op]
-        if left is None or right is None:
-            return None
-        if op == "||":
-            return str(left) + str(right)
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    return None  # SQL-style: division by zero yields NULL
-                result = left / right
-                if isinstance(left, int) and isinstance(right, int) and left % right == 0:
-                    return left // right
-                return result
-            if op == "%":
-                if right == 0:
-                    return None
-                return left % right
-        except TypeError as exc:
-            raise ExecutionError(f"bad operands for {op!r}: {left!r}, {right!r}") from exc
-        raise ExecutionError(f"unknown operator {op!r}")
-
-    def _eval_unaryop(self, expr: ast.UnaryOp, row: Row) -> Any:
-        value = self.evaluate(expr.operand, row)
-        if expr.op == "NOT":
-            if value is None:
-                return None
-            return not value
-        if expr.op == "-":
-            return None if value is None else -value
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
-
-    def _eval_funccall(self, expr: ast.FuncCall, row: Row) -> Any:
-        if expr.name in AGGREGATE_NAMES:
-            raise ExecutionError(
-                f"aggregate {expr.name} used outside GROUP BY context"
             )
+
+        return missing
+
+    def _columnref(self, expr: ast.ColumnRef) -> Compiled:
+        column = expr.column
+        table = expr.table
+        if table is not None:
+
+            def read(row: Row) -> Any:
+                try:
+                    return row.env[table][column]
+                except KeyError:
+                    if table not in row.env:
+                        raise ExecutionError(
+                            f"unknown table binding {table!r}"
+                        ) from None
+                    raise ExecutionError(
+                        f"no column {column!r} in {table!r}"
+                    ) from None
+
+            return read
+
+        # unqualified: every row a plan node sees has the same bindings
+        # and columns, so the owner is resolved on the first row
+        owner: list[str] = []
+
+        def read_unqualified(row: Row) -> Any:
+            if not owner:
+                hits = [b for b, columns in row.env.items() if column in columns]
+                if not hits:
+                    raise ExecutionError(f"unknown column {column!r}")
+                if len(hits) > 1:
+                    raise ExecutionError(f"ambiguous column {column!r}")
+                owner.append(hits[0])
+            return row.env[owner[0]][column]
+
+        return read_unqualified
+
+    def _binaryop(self, expr: ast.BinaryOp) -> Compiled:
+        op = expr.op
+        left = self.compile(expr.left)
+        right = self.compile(expr.right)
+        if op == "AND":
+
+            def conjunction(row: Row) -> Any:
+                a = left(row)
+                if a is False:
+                    return False
+                b = right(row)
+                if b is False:
+                    return False
+                if a is None or b is None:
+                    return None
+                return True
+
+            return conjunction
+        if op == "OR":
+
+            def disjunction(row: Row) -> Any:
+                a = left(row)
+                if a is True:
+                    return True
+                b = right(row)
+                if b is True:
+                    return True
+                if a is None or b is None:
+                    return None
+                return False
+
+            return disjunction
+        if op in _COMPARISONS:
+            test = _COMPARISONS[op]
+
+            def comparison(row: Row) -> Any:
+                a = left(row)
+                b = right(row)
+                if a is None or b is None:
+                    return None
+                kind = type(a)
+                if (kind in _NUMBERS and type(b) in _NUMBERS) or (
+                    kind is str and type(b) is str
+                ):
+                    # sql_compare's answer for the two common families
+                    return test((a > b) - (a < b), 0)
+                return test(sql_compare(a, b), 0)
+
+            return comparison
+        if op == "||":
+
+            def concat(row: Row) -> Any:
+                a = left(row)
+                b = right(row)
+                if a is None or b is None:
+                    return None
+                return str(a) + str(b)
+
+            return concat
+        apply = _ARITHMETIC.get(op)
+
+        def arithmetic(row: Row) -> Any:
+            a = left(row)
+            b = right(row)
+            if a is None or b is None:
+                return None
+            if apply is None:
+                raise ExecutionError(f"unknown operator {op!r}")
+            try:
+                return apply(a, b)
+            except TypeError as exc:
+                raise ExecutionError(
+                    f"bad operands for {op!r}: {a!r}, {b!r}"
+                ) from exc
+
+        return arithmetic
+
+    def _unaryop(self, expr: ast.UnaryOp) -> Compiled:
+        operand = self.compile(expr.operand)
+        if expr.op == "NOT":
+
+            def negation(row: Row) -> Any:
+                value = operand(row)
+                return None if value is None else not value
+
+            return negation
+        if expr.op == "-":
+
+            def minus(row: Row) -> Any:
+                value = operand(row)
+                if value is None:
+                    return None
+                try:
+                    return -value
+                except TypeError as exc:
+                    raise ExecutionError(
+                        f"bad operand for unary '-': {value!r}"
+                    ) from exc
+
+            return minus
+
+        def unknown(row: Row) -> Any:
+            operand(row)
+            raise ExecutionError(f"unknown unary operator {expr.op!r}")
+
+        return unknown
+
+    def _funccall(self, expr: ast.FuncCall) -> Compiled:
+        if expr.name in AGGREGATE_NAMES:
+            slot = self._aggregate_slots.get(expr)
+
+            def aggregate(row: Row) -> Any:
+                if slot is None or row.aggregates is None:
+                    raise ExecutionError(
+                        f"aggregate {expr.name} used outside GROUP BY context"
+                    )
+                return row.aggregates[slot]
+
+            return aggregate
         function = SCALAR_FUNCTIONS.get(expr.name)
         if function is None:
-            raise SQLError(f"unknown function {expr.name!r}")
-        args = [self.evaluate(arg, row) for arg in expr.args]
-        return function(*args)
 
-    def _eval_inlist(self, expr: ast.InList, row: Row) -> Any:
-        value = self.evaluate(expr.operand, row)
-        if value is None:
-            return None
-        saw_null = False
-        for item in expr.items:
-            candidate = self.evaluate(item, row)
-            if candidate is None:
-                saw_null = True
-                continue
-            cmp = sql_compare(value, candidate)
-            if cmp == 0:
-                return not expr.negated
-        if saw_null:
-            return None
-        return expr.negated
+            def unknown(row: Row) -> Any:
+                raise SQLError(f"unknown function {expr.name!r}")
 
-    def _eval_between(self, expr: ast.Between, row: Row) -> Any:
-        value = self.evaluate(expr.operand, row)
-        low = self.evaluate(expr.low, row)
-        high = self.evaluate(expr.high, row)
-        if value is None or low is None or high is None:
-            return None
-        inside = sql_compare(value, low) >= 0 and sql_compare(value, high) <= 0
-        return inside != expr.negated
+            return unknown
+        args = [self.compile(arg) for arg in expr.args]
+        return lambda row: function(*[arg(row) for arg in args])
 
-    def _eval_like(self, expr: ast.Like, row: Row) -> Any:
-        value = self.evaluate(expr.operand, row)
-        pattern = self.evaluate(expr.pattern, row)
-        if value is None or pattern is None:
-            return None
-        matched = like_match(str(value), str(pattern))
-        return matched != expr.negated
+    def _inlist(self, expr: ast.InList) -> Compiled:
+        operand = self.compile(expr.operand)
+        items = [self.compile(item) for item in expr.items]
+        negated = expr.negated
 
-    def _eval_isnull(self, expr: ast.IsNull, row: Row) -> Any:
-        value = self.evaluate(expr.operand, row)
-        return (value is None) != expr.negated
+        def membership(row: Row) -> Any:
+            value = operand(row)
+            if value is None:
+                return None
+            saw_null = False
+            for item in items:
+                candidate = item(row)
+                if candidate is None:
+                    saw_null = True
+                elif sql_compare(value, candidate) == 0:
+                    return not negated
+            return None if saw_null else negated
+
+        return membership
+
+    def _between(self, expr: ast.Between) -> Compiled:
+        operand = self.compile(expr.operand)
+        low = self.compile(expr.low)
+        high = self.compile(expr.high)
+        negated = expr.negated
+
+        def between(row: Row) -> Any:
+            value = operand(row)
+            bottom = low(row)
+            top = high(row)
+            if value is None or bottom is None or top is None:
+                return None
+            inside = (sql_compare(value, bottom) >= 0
+                      and sql_compare(value, top) <= 0)
+            return inside != negated
+
+        return between
+
+    def _like(self, expr: ast.Like) -> Compiled:
+        operand = self.compile(expr.operand)
+        pattern = self.compile(expr.pattern)
+        negated = expr.negated
+
+        def like(row: Row) -> Any:
+            value = operand(row)
+            wanted = pattern(row)
+            if value is None or wanted is None:
+                return None
+            return like_match(str(value), str(wanted)) != negated
+
+        return like
+
+    def _isnull(self, expr: ast.IsNull) -> Compiled:
+        operand = self.compile(expr.operand)
+        negated = expr.negated
+        return lambda row: (operand(row) is None) != negated
+
+
+_COMPILERS: dict[type, Callable[[Evaluator, Any], Compiled]] = {
+    ast.Literal: Evaluator._literal,
+    ast.Param: Evaluator._param,
+    ast.ColumnRef: Evaluator._columnref,
+    ast.BinaryOp: Evaluator._binaryop,
+    ast.UnaryOp: Evaluator._unaryop,
+    ast.FuncCall: Evaluator._funccall,
+    ast.InList: Evaluator._inlist,
+    ast.Between: Evaluator._between,
+    ast.Like: Evaluator._like,
+    ast.IsNull: Evaluator._isnull,
+}
+
+
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> re.Pattern[str]:
+    return re.compile(
+        "".join(
+            ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+            for ch in pattern
+        ),
+        flags=re.DOTALL,
+    )
 
 
 def like_match(value: str, pattern: str) -> bool:
     """SQL LIKE: ``%`` matches any run, ``_`` any single character."""
-    regex = "".join(
-        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch) for ch in pattern
-    )
-    return re.fullmatch(regex, value, flags=re.DOTALL) is not None
+    return _like_regex(pattern).fullmatch(value) is not None
 
 
 # -- physical plan nodes --------------------------------------------------------
@@ -345,8 +515,10 @@ class FilterNode(PlanNode):
         self.predicate = predicate
 
     def rows(self, evaluator: Evaluator) -> Iterator[Row]:
+        keep = evaluator.compile(self.predicate)
         for row in self.child.rows(evaluator):
-            if evaluator.truth(self.predicate, row):
+            # types.is_truthy, inline: UNKNOWN and FALSE both reject
+            if keep(row) is True:
                 yield row
 
     def describe(self) -> str:
@@ -377,11 +549,15 @@ class NestedLoopJoinNode(PlanNode):
 
     def rows(self, evaluator: Evaluator) -> Iterator[Row]:
         right_rows = list(self.right.rows(evaluator))
+        joins = (
+            None if self.condition is None
+            else evaluator.compile(self.condition)
+        )
         for left_row in self.left.rows(evaluator):
             matched = False
             for right_row in right_rows:
                 merged = Row({**left_row.env, **right_row.env})
-                if self.condition is None or evaluator.truth(self.condition, merged):
+                if joins is None or joins(merged) is True:
                     matched = True
                     yield merged
             if not matched and self.kind == "LEFT":
@@ -424,19 +600,25 @@ class HashJoinNode(PlanNode):
         self.right_columns = right_columns
 
     def rows(self, evaluator: Evaluator) -> Iterator[Row]:
+        left_key = evaluator.compile(self.left_key)
+        right_key = evaluator.compile(self.right_key)
+        passes = (
+            None if self.residual is None
+            else evaluator.compile(self.residual)
+        )
         buckets: dict[Any, list[Row]] = {}
         for right_row in self.right.rows(evaluator):
-            key = evaluator.evaluate(self.right_key, right_row)
+            key = right_key(right_row)
             if key is None:
                 continue  # NULL never joins
             buckets.setdefault(_hash_key(key), []).append(right_row)
         for left_row in self.left.rows(evaluator):
-            key = evaluator.evaluate(self.left_key, left_row)
+            key = left_key(left_row)
             matched = False
             if key is not None:
                 for right_row in buckets.get(_hash_key(key), ()):
                     merged = Row({**left_row.env, **right_row.env})
-                    if self.residual is None or evaluator.truth(self.residual, merged):
+                    if passes is None or passes(merged) is True:
                         matched = True
                         yield merged
             if not matched and self.kind == "LEFT":
@@ -464,6 +646,22 @@ def _hash_key(value: Any) -> Any:
     return value
 
 
+class _Group:
+    """One group being aggregated: its first row, one aggregator per
+    call, and where each row's values go — ``feeds`` pairs each distinct
+    argument expression with the ``add`` of every aggregator reading it,
+    ``per_row`` are the ``add``s of COUNT(*)."""
+
+    __slots__ = ("representative", "aggregators", "feeds", "per_row")
+
+    def __init__(self, representative: Row, aggregators: list[Aggregator],
+                 feeds: list, per_row: list):
+        self.representative = representative
+        self.aggregators = aggregators
+        self.feeds = feeds
+        self.per_row = per_row
+
+
 class AggregateNode(PlanNode):
     """GROUP BY + aggregate evaluation (also handles global aggregates)."""
 
@@ -480,41 +678,61 @@ class AggregateNode(PlanNode):
         self.having = having
 
     def rows(self, evaluator: Evaluator) -> Iterator[Row]:
-        groups: dict[tuple, tuple[Row, list[Aggregator]]] = {}
-        order: list[tuple] = []
-        for row in self.child.rows(evaluator):
-            key = tuple(
-                sort_key(evaluator.evaluate(expr, row)) for expr in self.group_exprs
-            )
-            if key not in groups:
-                aggregators = [
-                    Aggregator(call.name, call.distinct, call.star)
-                    for call in self.aggregate_calls
-                ]
-                groups[key] = (row, aggregators)
-                order.append(key)
-            _, aggregators = groups[key]
-            for call, aggregator in zip(self.aggregate_calls, aggregators):
-                if call.star:
-                    aggregator.add(None)
+        calls = self.aggregate_calls
+        group_values = [evaluator.compile(expr) for expr in self.group_exprs]
+        # each distinct argument expression is evaluated once per row,
+        # however many aggregates read it; COUNT(*) reads none
+        arguments = list(
+            dict.fromkeys(call.args[0] for call in calls if not call.star)
+        )
+        argument_values = [evaluator.compile(expr) for expr in arguments]
+        reads = [None if call.star else arguments.index(call.args[0])
+                 for call in calls]
+
+        def new_group(row: Row) -> _Group:
+            aggregators = [
+                make_aggregator(call.name, call.distinct, call.star)
+                for call in calls
+            ]
+            fed_by: list[list] = [[] for _ in arguments]
+            per_row = []
+            for argument, aggregator in zip(reads, aggregators):
+                if argument is None:
+                    per_row.append(aggregator.add)
                 else:
-                    aggregator.add(evaluator.evaluate(call.args[0], row))
+                    fed_by[argument].append(aggregator.add)
+            return _Group(row, aggregators,
+                          list(zip(argument_values, fed_by)), per_row)
+
+        groups: dict[tuple, _Group] = {}
+        # raw grouping values -> their group: equal raw values have equal
+        # sort keys, so the canonical key is computed once per distinct
+        # raw combination, not once per row
+        seen: dict[tuple, _Group] = {}
+        for row in self.child.rows(evaluator):
+            raw = tuple([value(row) for value in group_values])
+            group = seen.get(raw)
+            if group is None:
+                key = tuple([sort_key(value) for value in raw])
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = new_group(row)
+                seen[raw] = group
+            for value_of, adds in group.feeds:
+                value = value_of(row)
+                if value is not None:  # every aggregate skips NULL
+                    for add in adds:
+                        add(value)
+            for add in group.per_row:
+                add(None)
         if not groups and not self.group_exprs:
             # Global aggregate over an empty input still yields one row.
-            aggregators = [
-                Aggregator(call.name, call.distinct, call.star)
-                for call in self.aggregate_calls
-            ]
-            groups[()] = (Row({}), aggregators)
-            order.append(())
-        for key in order:
-            representative, aggregators = groups[key]
-            aggmap: AggMap = {
-                call: aggregator.result()
-                for call, aggregator in zip(self.aggregate_calls, aggregators)
-            }
-            out = Row(representative.env, aggmap)
-            if self.having is None or evaluator.truth(self.having, out):
+            groups[()] = new_group(Row({}))
+        keep = None if self.having is None else evaluator.compile(self.having)
+        for group in groups.values():
+            out = Row(group.representative.env,
+                      [aggregator.result() for aggregator in group.aggregators])
+            if keep is None or keep(out) is True:
                 yield out
 
     def describe(self) -> str:
@@ -534,12 +752,16 @@ class SortNode(PlanNode):
 
     def rows(self, evaluator: Evaluator) -> Iterator[Row]:
         materialized = list(self.child.rows(evaluator))
+        keys = [
+            (evaluator.compile(item.expr), item.descending)
+            for item in self.order_by
+        ]
 
         def key(row: Row) -> tuple:
             parts = []
-            for item in self.order_by:
-                value = sort_key(evaluator.evaluate(item.expr, row))
-                parts.append(_Reversed(value) if item.descending else value)
+            for value_of, descending in keys:
+                value = sort_key(value_of(row))
+                parts.append(_Reversed(value) if descending else value)
             return tuple(parts)
 
         materialized.sort(key=key)

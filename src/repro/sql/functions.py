@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import datetime
+import operator
 from typing import Any, Callable
 
-from repro.errors import SQLError
+from repro.errors import ExecutionError, SQLError
 
 # -- scalar functions ---------------------------------------------------------
 
@@ -93,53 +94,132 @@ AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 class Aggregator:
     """Accumulates one aggregate over the rows of a group.
 
-    SQL semantics: NULL inputs are skipped by every aggregate; ``COUNT(*)``
-    counts rows; SUM/AVG over no (non-NULL) inputs yield NULL while COUNT
-    yields 0.
+    SQL semantics: NULL inputs are skipped by every aggregate — the
+    caller never passes one to :meth:`add`; ``COUNT(*)`` is fed once per
+    row; SUM/AVG/MIN/MAX over no (non-NULL) inputs yield NULL while
+    COUNT yields 0.  One subclass per kind, so ``add`` does that kind's
+    work and nothing else.
     """
 
-    def __init__(self, name: str, distinct: bool, star: bool):
-        if name not in AGGREGATE_NAMES:
-            raise SQLError(f"unknown aggregate {name!r}")
-        self.name = name
-        self.distinct = distinct
-        self.star = star
-        self._count = 0
-        self._sum: float | int = 0
-        self._min: Any = None
-        self._max: Any = None
-        self._seen: set[Any] | None = set() if distinct else None
+    __slots__ = ()
 
     def add(self, value: Any) -> None:
-        if self.star:
-            self._count += 1
-            return
-        if value is None:
-            return
-        if self._seen is not None:
-            if value in self._seen:
-                return
-            self._seen.add(value)
-        self._count += 1
-        if self.name in ("SUM", "AVG"):
-            self._sum += value
-        if self.name == "MIN":
-            self._min = value if self._min is None else min(self._min, value)
-        if self.name == "MAX":
-            self._max = value if self._max is None else max(self._max, value)
+        raise NotImplementedError
 
     def result(self) -> Any:
-        if self.name == "COUNT":
-            return self._count
-        if self._count == 0:
-            return None
-        if self.name == "SUM":
-            return self._sum
-        if self.name == "AVG":
-            return self._sum / self._count
-        if self.name == "MIN":
-            return self._min
-        return self._max
+        raise NotImplementedError
+
+
+class _Count(Aggregator):
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def add(self, value: Any) -> None:
+        self.count += 1
+
+    def result(self) -> int:
+        return self.count
+
+
+class _Sum(Aggregator):
+    """Keeps the inputs and folds them with the built-in ``sum`` — the
+    fold the mediator's own grouping uses, so a sum computed here and
+    one computed there over the same rows agree to the last bit on
+    every Python (``sum`` compensates float addition from 3.12 on, a
+    running ``+=`` never does)."""
+
+    __slots__ = ("values", "add")
+    name = "SUM"
+
+    def __init__(self) -> None:
+        self.values: list[Any] = []
+        self.add = self.values.append
+
+    def total(self) -> Any:
+        try:
+            return sum(self.values)
+        except TypeError:
+            culprit = next(
+                value for value in self.values
+                if not isinstance(value, (int, float))
+            )
+            raise ExecutionError(
+                f"{self.name} over a non-numeric value: {culprit!r}"
+            ) from None
+
+    def result(self) -> Any:
+        return self.total() if self.values else None
+
+
+class _Avg(_Sum):
+    __slots__ = ()
+    name = "AVG"
+
+    def result(self) -> Any:
+        return self.total() / len(self.values) if self.values else None
+
+
+class _Min(Aggregator):
+    __slots__ = ("best",)
+    name = "MIN"
+
+    beats = staticmethod(operator.lt)
+
+    def __init__(self) -> None:
+        self.best: Any = None
+
+    def add(self, value: Any) -> None:
+        best = self.best
+        try:
+            if best is None or self.beats(value, best):
+                self.best = value
+        except TypeError:
+            raise ExecutionError(
+                f"{self.name} cannot compare {value!r} with {best!r}"
+            ) from None
+
+    def result(self) -> Any:
+        return self.best
+
+
+class _Max(_Min):
+    __slots__ = ()
+    name = "MAX"
+    beats = staticmethod(operator.gt)
+
+
+class _Distinct(Aggregator):
+    """Feeds each distinct input to the wrapped aggregator once."""
+
+    __slots__ = ("seen", "inner")
+
+    def __init__(self, inner: Aggregator) -> None:
+        self.seen: set[Any] = set()
+        self.inner = inner
+
+    def add(self, value: Any) -> None:
+        if value not in self.seen:
+            self.seen.add(value)
+            self.inner.add(value)
+
+    def result(self) -> Any:
+        return self.inner.result()
+
+
+_AGGREGATORS = {"COUNT": _Count, "SUM": _Sum, "AVG": _Avg,
+                "MIN": _Min, "MAX": _Max}
+
+
+def make_aggregator(name: str, distinct: bool, star: bool) -> Aggregator:
+    """A fresh accumulator for one aggregate call in one group."""
+    kind = _AGGREGATORS.get(name)
+    if kind is None:
+        raise SQLError(f"unknown aggregate {name!r}")
+    if star:
+        return _Count()  # COUNT(*) counts rows, DISTINCT or not
+    return _Distinct(kind()) if distinct else kind()
 
 
 def is_aggregate_call(name: str) -> bool:

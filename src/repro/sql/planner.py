@@ -43,6 +43,8 @@ class PreparedSelect:
     output_exprs: tuple[ast.Expr, ...]
     column_names: tuple[str, ...]
     distinct: bool
+    #: the aggregate calls in the order the Aggregate node computes them
+    aggregate_calls: tuple[ast.FuncCall, ...] = ()
 
 
 def split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
@@ -229,7 +231,8 @@ class Planner:
             root = SortNode(root, resolved)
         if stmt.limit is not None or stmt.offset is not None:
             root = LimitNode(root, stmt.limit, stmt.offset)
-        return PreparedSelect(root, output_exprs, column_names, stmt.distinct)
+        return PreparedSelect(root, output_exprs, column_names, stmt.distinct,
+                              unique_calls)
 
     # -- FROM clause -------------------------------------------------------
 

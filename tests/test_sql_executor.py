@@ -226,6 +226,107 @@ class TestAggregates:
             db.execute("SELECT name FROM customers HAVING name = 'Ann'")
 
 
+class TestErrorContract:
+    """Only ``repro.errors`` types escape: the operator or aggregate and
+    the operand are named, never a bare ``TypeError``."""
+
+    @pytest.mark.parametrize("statement, named", [
+        ("SELECT SUM(name) FROM customers", "SUM"),
+        ("SELECT AVG(name) FROM customers", "AVG"),
+        ("SELECT -name FROM customers", "unary '-'"),
+        ("SELECT city, SUM(name) FROM customers GROUP BY city", "SUM"),
+        ("SELECT MAX(tier + name) FROM customers", "'+'"),
+    ])
+    def test_type_errors_are_execution_errors(self, db, statement, named):
+        with pytest.raises(ExecutionError, match="Ann") as raised:
+            db.execute(statement)
+        assert named in str(raised.value)
+
+    @pytest.mark.parametrize("aggregate", ["MIN", "MAX"])
+    def test_min_max_over_incomparable_values(self, db, aggregate):
+        # COALESCE mixes the TEXT name with the INTEGER tier
+        db.execute("UPDATE customers SET name = NULL WHERE id = 2")
+        with pytest.raises(ExecutionError, match=f"{aggregate} cannot compare"):
+            db.execute(f"SELECT {aggregate}(COALESCE(name, tier)) FROM customers")
+
+    def test_distinct_sum_over_text(self, db):
+        with pytest.raises(ExecutionError, match="SUM"):
+            db.execute("SELECT SUM(DISTINCT city) FROM customers")
+
+    def test_errors_wait_for_a_row(self, db):
+        """A statement over no rows fails exactly when interpreting it
+        row by row would have: not at all."""
+        assert db.execute(
+            "SELECT -name, nosuch(name), ghost FROM customers WHERE id > 99"
+        ).rows == []
+
+
+class TestCompiledEvaluator:
+    def test_evaluate_is_compile_then_call(self):
+        from repro.sql import ast
+        from repro.sql.executor import Evaluator, Row
+
+        evaluator = Evaluator((7,))
+        expr = ast.BinaryOp("+", ast.ColumnRef("a", "t"), ast.Param(0))
+        row = Row({"t": {"a": 3}})
+        assert evaluator.compile(expr)(row) == evaluator.evaluate(expr, row) == 10
+
+    def test_one_closure_serves_every_row(self):
+        from repro.sql import ast
+        from repro.sql.executor import Evaluator, Row
+
+        unqualified = Evaluator().compile(
+            ast.BinaryOp("<", ast.ColumnRef("a"), ast.Literal(2.5))
+        )
+        assert [unqualified(Row({"t": {"a": value}}))
+                for value in (1, 3, None, 2.5)] == [True, False, None, False]
+
+    def test_aggregate_arguments_are_evaluated_once_per_row(self, db):
+        calls = []
+        from repro.sql import functions
+
+        original = functions.SCALAR_FUNCTIONS["ABS"]
+        functions.SCALAR_FUNCTIONS["ABS"] = (
+            lambda value: calls.append(value) or original(value)
+        )
+        try:
+            row = db.execute(
+                "SELECT SUM(ABS(total)), AVG(ABS(total)), MAX(ABS(total)),"
+                " COUNT(*) FROM orders"
+            ).rows[0]
+        finally:
+            functions.SCALAR_FUNCTIONS["ABS"] = original
+        assert row == (164.75, 32.95, 99.5, 5)
+        assert len(calls) == 5
+
+    def test_statement_text_is_parsed_once(self, db, monkeypatch):
+        from repro.errors import SQLSyntaxError
+        from repro.sql import database
+
+        parses = []
+        original = database.parse_statement
+        monkeypatch.setattr(
+            database, "parse_statement",
+            lambda sql: parses.append(sql) or original(sql),
+        )
+        database._parse_once.cache_clear()
+        text = "SELECT name FROM customers WHERE id = ?"
+        assert db.execute(text, [1]).scalar() == "Ann"
+        assert db.execute(text, [2]).scalar() == "Bob"
+        assert db.explain(text)
+        assert parses == [text]
+        # planning stays per call: a new index is picked up
+        db.execute("CREATE INDEX idx_name ON customers (name)")
+        by_name = "SELECT id FROM customers WHERE name = 'Cam'"
+        assert "IndexScan" in db.explain(by_name)
+        # a parse error is raised every time, never remembered
+        for _ in range(2):
+            with pytest.raises(SQLSyntaxError):
+                db.execute("SELEKT 1")
+        assert parses.count("SELEKT 1") == 2
+        assert database._parse_once.cache_info().maxsize == 512
+
+
 class TestDML:
     def test_update_with_expression(self, db):
         db.execute("UPDATE orders SET total = total + 1 WHERE status = 'open'")
