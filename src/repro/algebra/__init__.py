@@ -44,15 +44,9 @@ from repro.algebra.operators import (
 )
 from repro.algebra.vector import (
     MISSING,
-    BatchCursor,
-    ColumnPredicate,
     ColumnStats,
     ColumnStatsRepository,
-    ColumnVector,
-    RecordBatch,
     TableStats,
-    batches_from_rows,
-    from_tuples,
     shred_records,
 )
 from repro.algebra.merge import (
@@ -74,16 +68,13 @@ __all__ = [
     "Aggregate",
     "AggregateSpec",
     "AttributePattern",
-    "BatchCursor",
     "BatchedDependentJoin",
     "BindingTuple",
     "BindingsSource",
     "CallbackScan",
     "CollectionScan",
-    "ColumnPredicate",
     "ColumnStats",
     "ColumnStatsRepository",
-    "ColumnVector",
     "Compute",
     "Construct",
     "ConstructTemplate",
@@ -102,7 +93,6 @@ __all__ = [
     "PatternMatch",
     "Plan",
     "Project",
-    "RecordBatch",
     "Select",
     "Sort",
     "TableStats",
@@ -112,10 +102,8 @@ __all__ = [
     "TreePattern",
     "Union",
     "ViewMatch",
-    "batches_from_rows",
     "build_elements",
     "dedup_rows",
-    "from_tuples",
     "fuse_sort_limit",
     "merge_sorted",
     "shred_records",

@@ -7,14 +7,8 @@ from typing import Any, Iterator
 
 from repro.algebra.operators import Operator, ValueFn
 from repro.algebra.tuples import BindingTuple
-from repro.algebra.vector import (
-    DEFAULT_BATCH_ROWS,
-    MISSING,
-    BatchCursor,
-    RecordBatch,
-    RowBuffer,
-)
-from repro.xmldm.values import NULL, Collection, Null, _comparison_key, values_equal
+from repro.errors import ExecutionError
+from repro.xmldm.values import NULL, Collection, Null, _comparison_key
 
 
 @dataclass(frozen=True)
@@ -36,6 +30,19 @@ class AggregateSpec:
             raise ValueError(f"unknown aggregate kind {self.kind!r}")
 
 
+def non_numeric(kind: str, value: Any) -> ExecutionError:
+    """What ``sum``/``avg`` raise over an operand that is not a number."""
+    return ExecutionError(f"{kind} over a non-numeric value: {value!r}")
+
+
+def _total(kind: str, present: list[Any]) -> Any:
+    try:
+        return sum(present)
+    except TypeError:
+        culprit = next(v for v in present if not isinstance(v, (int, float)))
+        raise non_numeric(kind, culprit) from None
+
+
 def _aggregate(kind: str, values: list[Any]) -> Any:
     present = [v for v in values if not isinstance(v, Null) and v is not None]
     if kind == "count":
@@ -43,9 +50,9 @@ def _aggregate(kind: str, values: list[Any]) -> Any:
     if not present:
         return NULL
     if kind == "sum":
-        return sum(present)
+        return _total(kind, present)
     if kind == "avg":
-        return sum(present) / len(present)
+        return _total(kind, present) / len(present)
     if kind == "min":
         return min(present, key=_comparison_key)
     return max(present, key=_comparison_key)
@@ -120,69 +127,6 @@ class GroupBy(Operator):
                 out = extended
             yield out
 
-    def _produce_batches(self) -> Iterator[RecordBatch]:
-        from repro.xmldm.values import Record
-
-        groups: dict[tuple, list[tuple[RecordBatch, int]]] = {}
-        order: list[tuple] = []
-        for batch in self.children[0].batches():
-            group_columns = [batch.columns.get(var) for var in self.group_vars]
-            for index in batch.live_indices():
-                parts = []
-                for column in group_columns:
-                    value = MISSING if column is None else column[index]
-                    parts.append(
-                        _comparison_key(NULL if value is MISSING else value)
-                    )
-                key = tuple(parts)
-                members = groups.get(key)
-                if members is None:
-                    groups[key] = members = []
-                    order.append(key)
-                members.append((batch, index))
-        cursor = BatchCursor()
-        buffer = RowBuffer(self._batch_rows or DEFAULT_BATCH_ROWS)
-        for key in order:
-            members = groups[key]
-            rep_batch, rep_index = members[0]
-            out: dict[str, Any] = {}
-            for var in self.group_vars:
-                column = rep_batch.columns.get(var)
-                if column is not None:
-                    value = column[rep_index]
-                    if value is not MISSING:
-                        out[var] = value
-            for spec in self.aggregates:
-                if spec.value_fn is None and spec.kind == "count":
-                    result: Any = len(members)
-                elif spec.value_fn is None:
-                    result = _aggregate(spec.kind, [1] * len(members))
-                else:
-                    values = []
-                    for member_batch, member_index in members:
-                        cursor.batch = member_batch
-                        cursor.index = member_index
-                        values.append(spec.value_fn(cursor))
-                    result = _aggregate(spec.kind, values)
-                assert spec.out_var not in out or values_equal(
-                    out[spec.out_var], result
-                )
-                out.setdefault(spec.out_var, result)
-            if self.collect_var is not None:
-                records = []
-                for member_batch, member_index in members:
-                    cursor.batch = member_batch
-                    cursor.index = member_index
-                    fields = self.collect_fields or cursor.variables
-                    records.append(
-                        Record({field: cursor.get(field, NULL) for field in fields})
-                    )
-                assert self.collect_var not in out
-                out[self.collect_var] = Collection(records)
-            buffer.append(out)
-            yield from buffer.drain()
-        yield from buffer.flush()
-
     def describe(self) -> str:
         parts = [", ".join("$" + v for v in self.group_vars)]
         if self.aggregates:
@@ -216,33 +160,6 @@ class Aggregate(Operator):
             assert extended is not None
             out = extended
         yield out
-
-    def _produce_batches(self) -> Iterator[RecordBatch]:
-        members: list[tuple[RecordBatch, int]] = []
-        for batch in self.children[0].batches():
-            for index in batch.live_indices():
-                members.append((batch, index))
-        cursor = BatchCursor()
-        out: dict[str, Any] = {}
-        for spec in self.aggregates:
-            if spec.value_fn is None and spec.kind == "count":
-                result: Any = len(members)
-            elif spec.value_fn is None:
-                result = _aggregate(spec.kind, [1] * len(members))
-            else:
-                values = []
-                for member_batch, member_index in members:
-                    cursor.batch = member_batch
-                    cursor.index = member_index
-                    values.append(spec.value_fn(cursor))
-                result = _aggregate(spec.kind, values)
-            assert spec.out_var not in out or values_equal(
-                out[spec.out_var], result
-            )
-            out.setdefault(spec.out_var, result)
-        buffer = RowBuffer(self._batch_rows or DEFAULT_BATCH_ROWS)
-        buffer.append(out)
-        yield from buffer.flush()
 
     def describe(self) -> str:
         return f"Aggregate({','.join(s.kind for s in self.aggregates)})"

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.algebra.operators import Operator, Predicate
 from repro.algebra.tuples import BindingTuple
-from repro.algebra.vector import (
-    DEFAULT_BATCH_ROWS,
-    MISSING,
-    RecordBatch,
-    RowBuffer,
-)
-from repro.xmldm.values import _comparison_key, values_equal
+from repro.xmldm.values import _comparison_key
 
 
 def _key_for(row: BindingTuple, variables: tuple[str, ...]) -> tuple | None:
@@ -21,21 +15,6 @@ def _key_for(row: BindingTuple, variables: tuple[str, ...]) -> tuple | None:
         if var not in row:
             return None
         parts.append(_comparison_key(row[var]))
-    return tuple(parts)
-
-
-def _batch_key_at(
-    columns: Sequence[list | None], index: int
-) -> tuple | None:
-    """Join key of one batch row; None when any join variable is absent."""
-    parts = []
-    for column in columns:
-        if column is None:
-            return None
-        value = column[index]
-        if value is MISSING:
-            return None
-        parts.append(_comparison_key(value))
     return tuple(parts)
 
 
@@ -66,44 +45,6 @@ class HashJoin(Operator):
                 merged = row.merge(partner)
                 if merged is not None:
                     yield merged
-
-    def _produce_batches(self) -> Iterator[RecordBatch]:
-        left, right = self.children
-        join_vars = self.join_vars
-        buckets: dict[tuple, list[dict[str, Any]]] = {}
-        for batch in right.batches():
-            join_columns = [batch.columns.get(var) for var in join_vars]
-            for index in batch.live_indices():
-                key = _batch_key_at(join_columns, index)
-                if key is not None:
-                    buckets.setdefault(key, []).append(batch.row_dict(index))
-        buffer = RowBuffer(self._batch_rows or DEFAULT_BATCH_ROWS)
-        for batch in left.batches():
-            join_columns = [batch.columns.get(var) for var in join_vars]
-            for index in batch.live_indices():
-                key = _batch_key_at(join_columns, index)
-                if key is None:
-                    continue
-                partners = buckets.get(key)
-                if not partners:
-                    continue
-                row = batch.row_dict(index)
-                for partner in partners:
-                    # dict-level replay of BindingTuple.merge: every
-                    # shared variable must agree, right adds the rest
-                    merged = dict(row)
-                    compatible = True
-                    for var, value in partner.items():
-                        if var in merged:
-                            if not values_equal(merged[var], value):
-                                compatible = False
-                                break
-                        else:
-                            merged[var] = value
-                    if compatible:
-                        buffer.append(merged)
-            yield from buffer.drain()
-        yield from buffer.flush()
 
     def describe(self) -> str:
         return f"HashJoin({', '.join('$' + v for v in self.join_vars)})"

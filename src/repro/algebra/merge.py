@@ -37,7 +37,7 @@ from repro.algebra.construct import (
     _numeric_or_self,
     build_elements,
 )
-from repro.algebra.grouping import _aggregate
+from repro.algebra.grouping import _aggregate, non_numeric
 from repro.algebra.operators import SortKeys, sort_rows
 from repro.algebra.tuples import BindingTuple
 from repro.xmldm.nodes import Element
@@ -242,7 +242,10 @@ class PartialGroups:
             if slot is None:
                 slot = [0, 0]
                 state.slots[index] = slot
-            slot[0] = slot[0] + value
+            try:
+                slot[0] = slot[0] + value
+            except TypeError:
+                raise non_numeric(kind, value) from None
             slot[1] += count
             return
         if slot is None:

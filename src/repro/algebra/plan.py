@@ -47,10 +47,6 @@ class Plan:
         """Attach a virtual clock so execution times every operator."""
         self.root.bind_analyze(clock)
 
-    def bind_vectorized(self, batch_rows: int) -> None:
-        """Arm the plan for columnar (batched) execution."""
-        self.root.bind_vectorized(batch_rows)
-
     def operator_stats(self) -> list[tuple[str, int]]:
         """(description, rows produced) per operator, top-down."""
         return [(op.describe(), op.rows_out) for op in self.root.walk()]

@@ -1,40 +1,26 @@
-"""Columnar batches for the vectorized execution path.
+"""Column statistics gathered at the source boundary.
 
-The row path streams one :class:`~repro.algebra.tuples.BindingTuple` at
-a time through the operator tree, paying Python dispatch per tuple per
-operator.  The vectorized path instead moves a :class:`RecordBatch` —
-a small column store: one value list per variable plus a *selection
-mask* (a list of live row indices) — through the tree, so each operator
-call amortizes its dispatch over ``batch_rows`` tuples.
+A fragment scan that fetched a relation whole hands its records to
+:func:`shred_records`, which transposes them into one value list per
+field and lets a :class:`TableStats` observe each column.  The cost
+model prices predicates from what was observed and the shard router
+skips shards whose observed bounds contradict a query.
 
-Filters never copy columns: they produce a new batch sharing the same
-column lists with a narrower ``live`` list (see the DESIGN.md decision
-entry on selection masks vs copy-on-filter).
-
-Binding tuples are heterogeneous — a variable may be absent from some
-rows — so columns use the :data:`MISSING` sentinel for "no binding".
-``MISSING`` is distinct from the model's NULL: NULL is a bound value,
-MISSING means the variable does not appear in that row at all (and so
-must not survive materialization back into tuples).
+Source records are heterogeneous — a field may be absent from some of
+them — so columns use the :data:`MISSING` sentinel for "no such field".
+``MISSING`` is distinct from the model's NULL: NULL is a value a record
+holds and is counted as one, MISSING is padding and is never observed.
 """
 
 from __future__ import annotations
 
-import operator as _operator
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Sequence
 
-from repro.algebra.tuples import BindingTuple
-from repro.xmldm.values import (
-    NULL,
-    Null,
-    _comparison_key,
-    atomize,
-    compare_values,
-)
+from repro.xmldm.values import Null, _comparison_key
 
 
 class _Missing:
-    """Sentinel for "variable absent in this row" (not the same as NULL)."""
+    """Sentinel for "field absent in this record" (not the same as NULL)."""
 
     __slots__ = ()
 
@@ -44,155 +30,20 @@ class _Missing:
 
 MISSING = _Missing()
 
-#: default batch width when an operator falls back without a bound size
-DEFAULT_BATCH_ROWS = 1024
-
-
-class ColumnVector:
-    """One named column: a full-length value list, possibly with MISSING."""
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str, values: list[Any]):
-        self.name = name
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index: int) -> Any:
-        return self.values[index]
-
-    def __repr__(self) -> str:
-        return f"ColumnVector({self.name}, n={len(self.values)})"
-
-
-class RecordBatch:
-    """A batch of binding tuples stored column-wise with a selection mask.
-
-    ``columns`` maps variable name to a list of ``length`` values
-    (:data:`MISSING` where the row has no binding).  ``live`` is the
-    ascending list of selected row indices, or None meaning *all* rows —
-    filters narrow ``live`` without touching the columns.
-    """
-
-    __slots__ = ("columns", "live", "length")
-
-    def __init__(
-        self,
-        columns: dict[str, list[Any]],
-        live: list[int] | None = None,
-        length: int | None = None,
-    ):
-        if length is None:
-            if columns:
-                length = len(next(iter(columns.values())))
-            elif live:
-                length = (max(live) + 1) if live else 0
-            else:
-                length = 0
-        self.columns = columns
-        self.live = live
-        self.length = length
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
-    def vectors(self) -> list[ColumnVector]:
-        return [ColumnVector(name, values) for name, values in self.columns.items()]
-
-    def live_indices(self) -> Sequence[int]:
-        return range(self.length) if self.live is None else self.live
-
-    @property
-    def live_count(self) -> int:
-        return self.length if self.live is None else len(self.live)
-
-    def with_live(self, live: list[int]) -> "RecordBatch":
-        """Same columns, narrower selection (the mask-based filter)."""
-        return RecordBatch(self.columns, live, self.length)
-
-    def project(self, variables: Iterable[str]) -> "RecordBatch":
-        """Keep only the named columns (absent names are dropped)."""
-        columns = {
-            var: self.columns[var] for var in variables if var in self.columns
-        }
-        return RecordBatch(columns, self.live, self.length)
-
-    def row_items(self, index: int) -> list[tuple[str, Any]]:
-        """Present (variable, value) pairs of one row, skipping MISSING."""
-        items = []
-        for var, values in self.columns.items():
-            value = values[index]
-            if value is not MISSING:
-                items.append((var, value))
-        return items
-
-    def row_dict(self, index: int) -> dict[str, Any]:
-        """One row as a plain dict of its present bindings."""
-        out = {}
-        for var, values in self.columns.items():
-            value = values[index]
-            if value is not MISSING:
-                out[var] = value
-        return out
-
-    def to_tuples(self) -> Iterator[BindingTuple]:
-        """Materialize the live rows back into binding tuples."""
-        items = list(self.columns.items())
-        for index in self.live_indices():
-            row = {}
-            for var, values in items:
-                value = values[index]
-                if value is not MISSING:
-                    row[var] = value
-            yield BindingTuple(row)
-
-    def __len__(self) -> int:
-        return self.live_count
-
-    def __repr__(self) -> str:
-        return (
-            f"RecordBatch(vars={list(self.columns)}, rows={self.live_count}"
-            f"/{self.length})"
-        )
-
-
-def from_tuples(rows: Sequence[BindingTuple]) -> RecordBatch:
-    """Shred binding tuples into a batch (union of variables, MISSING-padded)."""
-    length = len(rows)
-    columns: dict[str, list[Any]] = {}
-    for position, row in enumerate(rows):
-        for var, value in row.as_dict().items():
-            column = columns.get(var)
-            if column is None:
-                column = [MISSING] * length
-                columns[var] = column
-            column[position] = value
-    return RecordBatch(columns, None, length)
-
 
 def shred_records(
-    records: Sequence[Any], stats: "TableStats | None" = None
-) -> RecordBatch:
-    """Shred source Records straight into columns (no tuple detour).
+    records: Sequence[Any], stats: TableStats
+) -> dict[str, list[Any]]:
+    """Transpose one fetched record list into per-field columns and
+    let ``stats`` observe them.
 
-    This is the source-boundary shredding step: fragment results arrive
-    as :class:`~repro.xmldm.values.Record` lists and become one column
-    per field.  Heterogeneous records (legal in semi-structured data)
-    pad absent fields with MISSING, matching the row path where
-    ``BindingTuple(record.as_dict())`` simply lacks the binding.
-
-    ``stats`` (when given) observes the shredded batch — column
-    statistics ride along with the work shredding already does, the
-    "ANALYZE for free" of the vectorized path.
+    Every column is as long as ``records``; a record lacking a field
+    (legal in semi-structured data) leaves MISSING at its position.
     """
     length = len(records)
-    batch: RecordBatch | None = None
-    columns: dict[str, list[Any]]
+    columns: dict[str, list[Any]] | None = None
     if length and getattr(records[0], "field_map", None) is not None:
-        # homogeneous fast path: when every record binds the same field
+        # homogeneous fast path: when every record holds the same field
         # set (the overwhelmingly common source-result shape), each
         # column is one C-speed comprehension over the raw field maps
         maps = [record.field_map for record in records]
@@ -204,10 +55,9 @@ def shred_records(
                     name: [field_map[name] for field_map in maps]
                     for name in names
                 }
-                batch = RecordBatch(columns, None, length)
             except KeyError:
                 pass  # same width, different names: heterogeneous after all
-    if batch is None:
+    if columns is None:
         columns = {}
         for position, record in enumerate(records):
             for name, value in record.items():
@@ -216,33 +66,31 @@ def shred_records(
                     column = [MISSING] * length
                     columns[name] = column
                 column[position] = value
-        batch = RecordBatch(columns, None, length)
-    if stats is not None:
-        stats.observe_batch(batch)
-    return batch
-
-
-# -- column statistics --------------------------------------------------------
+    stats.observe_columns(columns)
+    return columns
 
 
 class ColumnStats:
     """Observed min/max/distinct-count/null-count of one column.
 
-    Fed by :func:`shred_records` during batch shredding; consumed by the
-    cost model (selectivity from real value distributions instead of
-    folklore constants) and the shard router (skip a shard whose
-    observed key bounds contradict the query's predicates).  Bounds and
-    distinct counts only ever widen, so re-observing the same rows is
-    idempotent and observing more rows stays sound.
+    Fed by :func:`shred_records`; consumed by the cost model
+    (selectivity from real value distributions instead of folklore
+    constants) and the shard router (skip a shard whose observed key
+    bounds contradict the query's predicates).  Bounds and distinct
+    counts only ever widen, so re-observing the same rows is idempotent
+    and observing more rows stays sound.
     """
 
-    __slots__ = ("rows", "nulls", "minimum", "maximum", "_distinct")
+    __slots__ = ("rows", "nulls", "minimum", "maximum",
+                 "_min_key", "_max_key", "_distinct")
 
     def __init__(self):
         self.rows = 0
         self.nulls = 0
         self.minimum: Any = None
         self.maximum: Any = None
+        self._min_key: tuple | None = None
+        self._max_key: tuple | None = None
         self._distinct: set = set()
 
     def observe(self, value: Any) -> None:
@@ -250,11 +98,12 @@ class ColumnStats:
         if isinstance(value, Null) or value is None:
             self.nulls += 1
             return
-        self._distinct.add(_comparison_key(value))
-        if self.minimum is None or compare_values(value, self.minimum) < 0:
-            self.minimum = value
-        if self.maximum is None or compare_values(value, self.maximum) > 0:
-            self.maximum = value
+        key = _comparison_key(value)
+        self._distinct.add(key)
+        if self._min_key is None or key < self._min_key:
+            self.minimum, self._min_key = value, key
+        if self._max_key is None or key > self._max_key:
+            self.maximum, self._max_key = value, key
 
     @property
     def distinct(self) -> int:
@@ -301,21 +150,18 @@ class ColumnStats:
 class TableStats:
     """Per-column statistics of one fragment access shape."""
 
-    __slots__ = ("columns", "batches")
+    __slots__ = ("columns",)
 
     def __init__(self):
         self.columns: dict[str, ColumnStats] = {}
-        self.batches = 0
 
-    def observe_batch(self, batch: RecordBatch) -> None:
-        self.batches += 1
-        for name, values in batch.columns.items():
+    def observe_columns(self, columns: dict[str, list[Any]]) -> None:
+        for name, values in columns.items():
             column = self.columns.get(name)
             if column is None:
                 column = ColumnStats()
                 self.columns[name] = column
-            for index in batch.live_indices():
-                value = values[index]
+            for value in values:
                 if value is not MISSING:
                     column.observe(value)
 
@@ -346,260 +192,3 @@ class ColumnStatsRepository:
     def column(self, key: str, name: str) -> ColumnStats | None:
         stats = self.tables.get(key)
         return stats.column(name) if stats is not None else None
-
-
-def batches_from_rows(
-    rows: Iterable[BindingTuple], batch_rows: int
-) -> Iterator[RecordBatch]:
-    """Chunk a tuple stream into batches (the row-path fallback bridge)."""
-    if batch_rows < 1:
-        raise ValueError("batch_rows must be >= 1")
-    buffer: list[BindingTuple] = []
-    for row in rows:
-        buffer.append(row)
-        if len(buffer) >= batch_rows:
-            yield from_tuples(buffer)
-            buffer = []
-    if buffer:
-        yield from_tuples(buffer)
-
-
-class RowBuffer:
-    """Accumulates row dicts and flushes them as full batches.
-
-    Used by vectorized operators whose output cardinality differs from
-    their input (joins, grouping): merged rows land here as plain dicts
-    and leave as column batches of ``batch_rows``.
-    """
-
-    __slots__ = ("batch_rows", "_rows")
-
-    def __init__(self, batch_rows: int):
-        self.batch_rows = max(1, batch_rows)
-        self._rows: list[dict[str, Any]] = []
-
-    def append(self, row: dict[str, Any]) -> None:
-        self._rows.append(row)
-
-    @property
-    def full(self) -> bool:
-        return len(self._rows) >= self.batch_rows
-
-    def drain(self) -> Iterator[RecordBatch]:
-        """Yield completed batches, keeping any partial tail buffered."""
-        while len(self._rows) >= self.batch_rows:
-            chunk = self._rows[: self.batch_rows]
-            del self._rows[: self.batch_rows]
-            yield _batch_from_dicts(chunk)
-
-    def flush(self) -> Iterator[RecordBatch]:
-        """Yield everything buffered, including the partial tail."""
-        yield from self.drain()
-        if self._rows:
-            chunk = self._rows
-            self._rows = []
-            yield _batch_from_dicts(chunk)
-
-
-def _batch_from_dicts(rows: Sequence[dict[str, Any]]) -> RecordBatch:
-    length = len(rows)
-    columns: dict[str, list[Any]] = {}
-    for position, row in enumerate(rows):
-        for var, value in row.items():
-            column = columns.get(var)
-            if column is None:
-                column = [MISSING] * length
-                columns[var] = column
-            column[position] = value
-    return RecordBatch(columns, None, length)
-
-
-def gather(
-    sources: Sequence[tuple[RecordBatch, int]],
-    order: Sequence[int],
-    batch_rows: int,
-) -> Iterator[RecordBatch]:
-    """Re-emit (batch, row) pairs in ``order`` as fresh dense batches.
-
-    Used by vectorized Sort: after computing a global permutation over
-    buffered input batches, gather copies the selected rows out in
-    sorted order, ``batch_rows`` at a time.
-    """
-    batch_rows = max(1, batch_rows)
-    for start in range(0, len(order), batch_rows):
-        chunk = order[start : start + batch_rows]
-        rows = [sources[position] for position in chunk]
-        length = len(rows)
-        columns: dict[str, list[Any]] = {}
-        for out_index, (batch, row_index) in enumerate(rows):
-            for var, values in batch.columns.items():
-                value = values[row_index]
-                if value is MISSING:
-                    continue
-                column = columns.get(var)
-                if column is None:
-                    column = [MISSING] * length
-                    columns[var] = column
-                column[out_index] = value
-        yield RecordBatch(columns, None, length)
-
-
-class BatchCursor:
-    """A movable row view over a batch, duck-typed like a BindingTuple.
-
-    Compiled predicates and value functions only need ``get`` /
-    ``__getitem__`` / ``__contains__``; pointing one cursor at
-    successive live rows lets them run on the columnar path without a
-    BindingTuple allocation per row.
-    """
-
-    __slots__ = ("batch", "index")
-
-    def __init__(self, batch: RecordBatch | None = None, index: int = 0):
-        self.batch = batch
-        self.index = index
-
-    def get(self, var: str, default: Any = None) -> Any:
-        column = self.batch.columns.get(var)
-        if column is None:
-            return default
-        value = column[self.index]
-        return default if value is MISSING else value
-
-    def __getitem__(self, var: str) -> Any:
-        column = self.batch.columns.get(var)
-        if column is not None:
-            value = column[self.index]
-            if value is not MISSING:
-                return value
-        raise KeyError(var)
-
-    def __contains__(self, var: str) -> bool:
-        column = self.batch.columns.get(var)
-        return column is not None and column[self.index] is not MISSING
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(var for var, values in self.batch.columns.items()
-                     if values[self.index] is not MISSING)
-
-    def as_dict(self) -> dict[str, Any]:
-        return self.batch.row_dict(self.index)
-
-
-def _flex_compare(a: Any, b: Any) -> int | None:
-    """The query layer's flexible comparison (numeric string coercion).
-
-    Mirrors ``repro.query.exprs.flex_compare`` — duplicated here rather
-    than imported because the algebra package must not depend on the
-    query package (the query translator already imports the algebra).
-    """
-    a = atomize(a)
-    b = atomize(b)
-    if isinstance(a, Null) or isinstance(b, Null) or a is None or b is None:
-        return None
-    if isinstance(a, (int, float)) and isinstance(b, str):
-        try:
-            b = float(b)
-        except ValueError:
-            pass
-    elif isinstance(b, (int, float)) and isinstance(a, str):
-        try:
-            a = float(a)
-        except ValueError:
-            pass
-    return compare_values(a, b)
-
-
-_FLEX_OPS: dict[str, Callable[[int], bool]] = {
-    "=": lambda c: c == 0,
-    "!=": lambda c: c != 0,
-    "<": lambda c: c < 0,
-    "<=": lambda c: c <= 0,
-    ">": lambda c: c > 0,
-    ">=": lambda c: c >= 0,
-}
-
-_DIRECT_OPS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": _operator.eq,
-    "!=": _operator.ne,
-    "<": _operator.lt,
-    "<=": _operator.le,
-    ">": _operator.gt,
-    ">=": _operator.ge,
-}
-
-
-class ColumnPredicate:
-    """A single-column comparison usable on both execution paths.
-
-    Called with a row (BindingTuple or cursor) it behaves like a
-    compiled predicate; on the vectorized path, :meth:`batch_eval` runs
-    the comparison as one tight loop over the column and returns the
-    surviving row indices.  Comparison semantics follow the query
-    layer's flexible compare (numeric strings compare numerically);
-    rows lacking the variable never match.
-    """
-
-    __slots__ = ("var", "op", "literal", "_test", "_plain_number", "_direct")
-
-    def __init__(self, var: str, op: str, literal: Any):
-        if op not in _FLEX_OPS:
-            raise ValueError(f"unknown comparison operator {op!r}")
-        self.var = var
-        self.op = op
-        self.literal = literal
-        accept = _FLEX_OPS[op]
-        direct = _DIRECT_OPS[op]
-        literal_value = literal
-        plain_number = isinstance(literal_value, (int, float)) and not isinstance(
-            literal_value, bool
-        )
-        self._plain_number = plain_number
-        self._direct = direct
-
-        def test(value: Any) -> bool:
-            if plain_number and value.__class__ in (int, float):
-                # plain-number fast path; identical ordering to the
-                # flexible compare below, without the atomize round trip
-                return direct(value, literal_value)
-            compared = _flex_compare(value, literal_value)
-            if compared is None:
-                return False
-            return accept(compared)
-
-        self._test = test
-
-    def __call__(self, row: Any) -> bool:
-        value = row.get(self.var, NULL)
-        return self._test(value)
-
-    def batch_eval(self, batch: RecordBatch) -> list[int]:
-        column = batch.columns.get(self.var)
-        if column is None:
-            return []
-        indices = batch.live_indices()
-        if self._plain_number:
-            # inline the numeric fast path: one C-level comparison per
-            # value, no per-row closure call on the hot loop
-            direct = self._direct
-            literal = self.literal
-            test = self._test
-            return [
-                index
-                for index in indices
-                if (
-                    direct(value, literal)
-                    if (value := column[index]).__class__ in (int, float)
-                    else value is not MISSING and test(value)
-                )
-            ]
-        test = self._test
-        return [
-            index
-            for index in indices
-            if (value := column[index]) is not MISSING and test(value)
-        ]
-
-    def __repr__(self) -> str:
-        return f"ColumnPredicate(${self.var} {self.op} {self.literal!r})"

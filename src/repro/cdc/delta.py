@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.algebra.construct import ConstructTemplate, _numeric_or_self
+from repro.algebra.grouping import non_numeric
 from repro.algebra.merge import (
     _build_one,
     _finish,
@@ -427,7 +428,10 @@ class DeltaGroups:
             if slot is None:
                 slot = [0, 0]
                 state.slots[index] = slot
-            slot[0] = slot[0] + value
+            try:
+                slot[0] = slot[0] + value
+            except TypeError:
+                raise non_numeric(kind, value) from None
             slot[1] += 1
             return
         if slot is None:

@@ -842,7 +842,7 @@ class _ExecutionContext:
         self.stats.estimate_feedback_updates += 1
 
     def column_stats_for(self, unit: FragmentUnit):
-        """The stats table batch shredding should populate, or None.
+        """The stats table a scan of ``unit`` should populate, or None.
 
         Only unconditioned, non-parameterized, ungrouped fragments
         contribute: a conditioned fetch observes a filtered subset whose
@@ -955,13 +955,10 @@ class NimbleEngine:
     cardinalities.  Cache hits never touch the resilience ladder: no
     retry budget is spent and no breaker is consulted.
 
-    ``vectorized=True`` switches plan execution to the batched columnar
-    path (``batch_rows`` rows per :class:`~repro.algebra.RecordBatch`);
     ``projection_pushdown=True`` prunes each fragment's transferred
-    columns to the variables the rest of the query consumes.  Both are
-    off by default and bit-identical to the row path — they change only
-    throughput and the ``bytes_transferred``/``values_transferred``
-    transfer counters.
+    columns to the variables the rest of the query consumes.  Off by
+    default; answers are identical either way — only the
+    ``bytes_transferred``/``values_transferred`` counters change.
 
     Observability: pass a :class:`~repro.observability.Tracer` to
     record a span tree per query (fetches, waves, batched probes, view
@@ -999,8 +996,6 @@ class NimbleEngine:
         admission: AdmissionController | None = None,
         shedder: LoadShedder | None = None,
         hedging: HedgePolicy | None = None,
-        vectorized: bool = False,
-        batch_rows: int = 1024,
         projection_pushdown: bool = False,
         fragment_cache_scope: str = "",
         column_statistics: bool = False,
@@ -1029,13 +1024,6 @@ class NimbleEngine:
         if max_parallel_fetches < 1:
             raise ValueError("max_parallel_fetches must be >= 1")
         self.max_parallel_fetches = max_parallel_fetches
-        if batch_rows < 1:
-            raise ValueError("batch_rows must be >= 1")
-        #: columnar execution knobs — off by default; the vectorized
-        #: path is bit-identical to the row path, batch_rows only
-        #: trades peak memory against per-batch dispatch overhead
-        self.vectorized = vectorized
-        self.batch_rows = batch_rows
         self.projection_pushdown = projection_pushdown
         if fragment_cache_bytes < 0:
             raise ValueError("fragment_cache_bytes must be >= 0")
@@ -1056,8 +1044,8 @@ class NimbleEngine:
             )
             if fragment_cache_bytes > 0 else None
         )
-        #: per-column min/max/distinct statistics observed during batch
-        #: shredding (vectorized path), keyed by fragment access shape;
+        #: per-column min/max/distinct statistics observed by whole-
+        #: relation fragment scans, keyed by fragment access shape;
         #: feeds cost-model selectivity and stats-based shard skipping
         self.column_stats = ColumnStatsRepository() if column_statistics else None
         if self.column_stats is not None:
@@ -1637,10 +1625,6 @@ class NimbleEngine:
                 )
             if analyze:
                 plan.bind_analyze(self.clock)
-            elif self.vectorized:
-                # EXPLAIN ANALYZE keeps the row path: per-operator row
-                # clocks are the whole point of that mode
-                plan.bind_vectorized(self.batch_rows)
             started_virtual = self.clock.now
             started_wall = time.perf_counter()
             with tracer.span("execute"):
@@ -1694,8 +1678,6 @@ class NimbleEngine:
         with tracer.span("bindings", policy=effective.name) as root:
             with tracer.span("plan"):
                 tree = self.builder.build_binding_tree(decomposed, context)
-            if self.vectorized:
-                tree.bind_vectorized(self.batch_rows)
             started_virtual = self.clock.now
             started_wall = time.perf_counter()
             with tracer.span("execute"):

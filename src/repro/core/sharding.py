@@ -97,8 +97,8 @@ class ShardRouter:
     cannot scatter.  ``deployment`` provides the shard-local registries
     (one shared clock) and shard maps.  Each shard gets its own
     :class:`NimbleEngine` inheriting the coordinator's configuration —
-    resilience policy, caches (with shard-scoped keys), vectorized
-    execution, column statistics — overridable via ``shard_overrides``.
+    resilience policy, caches (with shard-scoped keys), column
+    statistics — overridable via ``shard_overrides``.
 
     The router quacks like an engine where it counts: ``query()``,
     ``explain()``, ``clock``, ``catalog``, ``resilience``, ``name`` —
@@ -187,8 +187,6 @@ class ShardRouter:
             plan_cache_size=coordinator.plan_cache_size,
             fragment_cache_bytes=cache.max_bytes if cache is not None else 0,
             fragment_cache_scope=f"shard{index}",
-            vectorized=coordinator.vectorized,
-            batch_rows=coordinator.batch_rows,
             projection_pushdown=coordinator.projection_pushdown,
             column_statistics=coordinator.column_stats is not None,
             # shard answers carry their own lineage; the gather folds
@@ -408,7 +406,7 @@ class ShardRouter:
         """One shard's observed key bounds for a fragment, if gathered.
 
         Statistics live in the shard engines (populated by their own
-        vectorized scans); keys are access shapes, which retargeting
+        scans); keys are access shapes, which retargeting
         preserves, so the coordinator's fragment looks them up directly.
         """
         repo = self.shard_engines[index].column_stats

@@ -18,7 +18,7 @@ from repro.algebra import (
 from repro.algebra.joins import BatchedDependentJoin, DependentJoin
 from repro.algebra.operators import Limit, fuse_sort_limit
 from repro.algebra.tuples import BindingTuple
-from repro.algebra.vector import RecordBatch, shred_records
+from repro.algebra.vector import shred_records
 from repro.algebra.viewmatch import ViewMatch
 from repro.errors import PlanningError
 from repro.mediator.schema import ViewDef
@@ -67,21 +67,16 @@ class FragmentScan(Operator):
         self.estimated_rows: float | None = None
 
     def _produce(self) -> Iterator[BindingTuple]:
-        for record in self.context.fetch_fragment(self.unit, self.params):
-            yield BindingTuple(record.as_dict())
-
-    def _produce_batches(self) -> Iterator[RecordBatch]:
-        """Shred the fetched records into column batches at the source
-        boundary — the one row->column transposition in the plan."""
         records = self.context.fetch_fragment(self.unit, self.params)
         # the engine's column-statistics hook (None when the context
         # doesn't carry statistics, or this fragment is filtered/
         # parameterized and so under-covers its relation)
         stats_for = getattr(self.context, "column_stats_for", None)
         stats = stats_for(self.unit) if stats_for is not None else None
-        step = self._batch_rows
-        for start in range(0, len(records), step):
-            yield shred_records(records[start:start + step], stats)
+        if stats is not None:
+            shred_records(records, stats)
+        for record in records:
+            yield BindingTuple(record.as_dict())
 
     def describe(self) -> str:
         return f"FragmentScan({self.unit.describe()})"

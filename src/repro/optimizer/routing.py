@@ -15,7 +15,7 @@ the coordinator, then asks :func:`route` for a :class:`RoutingDecision`:
     predicates (via the sound :func:`repro.materialize.matching.implies`
     test) holds no qualifying rows;
   - **stats skipping** — a shard whose *observed* key column bounds
-    (per-shard column statistics from batch shredding) fall entirely
+    (per-shard column statistics from whole-relation scans) fall entirely
     outside the predicates holds no qualifying rows either, even when
     its nominal range overlaps.
 

@@ -75,7 +75,7 @@ class Record:
         """The underlying name->value mapping, zero-copy.
 
         Callers must treat it as read-only; it exists so bulk consumers
-        (columnar shredding) can skip the per-record dict copy that
+        (column statistics) can skip the per-record dict copy that
         :meth:`as_dict` makes.
         """
         return self._fields

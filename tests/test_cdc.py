@@ -31,6 +31,7 @@ from repro.cdc import (
 )
 from repro.core.engine import NimbleEngine, PartialResultPolicy
 from repro.core.sharding import ShardRouter
+from repro.errors import ExecutionError
 from repro.materialize import MaterializationManager
 from repro.materialize.policy import RefreshPolicy
 from repro.mediator.catalog import Catalog
@@ -415,6 +416,16 @@ class TestDeltaOperators:
         groups.apply_delta([RowDelta("delete", before=_row(g=1, v=8))])
         out = groups.finalize([_row(g=1, v=3)])
         assert serialize(out[0]) == '<r id="1"><lo>3</lo></r>'
+
+    def test_sum_over_text_raises_execution_error(self):
+        template = template_to_construct(parse_query(
+            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
+            "CONSTRUCT <r id=$g><s>sum($v)</s></r>"
+        ).construct)
+        groups = DeltaGroups(template)
+        groups.observe(_row(g=1, v="3"))
+        with pytest.raises(ExecutionError, match="sum over .*'x'"):
+            groups.observe(_row(g=1, v="x"))
 
 
 # -- change scoping -----------------------------------------------------------

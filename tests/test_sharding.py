@@ -4,8 +4,7 @@ The load-bearing claim is in the property test: for every query shape
 the merge algebra covers, a :class:`ShardRouter` over a key-range
 partitioned deployment returns **bit-identical** elements, completeness
 annotations and row counts to one engine over the unsharded data —
-across shard counts, fragment caching, injected faults, and vectorized
-execution.
+across shard counts, fragment caching and injected faults.
 """
 
 from __future__ import annotations
@@ -22,12 +21,14 @@ from repro.algebra.merge import (
     topk_rows,
 )
 from repro.algebra.tuples import BindingTuple
-from repro.algebra.vector import ColumnStats, shred_records, TableStats
+from repro.algebra.vector import MISSING, ColumnStats, TableStats, shred_records
 from repro.core.engine import NimbleEngine
 from repro.core.loadbalance import EngineCluster
 from repro.core.sharding import ShardRouter, retarget
+from repro.errors import ExecutionError
 from repro.materialize.matching import implies
 from repro.mediator.catalog import Catalog
+from repro.observability import Tracer
 from repro.optimizer.routing import (
     MERGE_DISTINCT,
     MERGE_ORDERED,
@@ -53,9 +54,11 @@ from repro.sources.sharding import (
     partition_registry,
     range_admits,
 )
+from repro.sources.webservice import WebServiceSource
 from repro.sql.database import Database
 from repro.xmldm.serializer import serialize
-from repro.xmldm.values import Record
+from repro.xmldm.schema import RecordType
+from repro.xmldm.values import NULL, Record
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -192,6 +195,19 @@ class TestMergeAlgebra:
             gathered.merge(partial)
         assert ([serialize(e) for e in gathered.finalize()]
                 == [serialize(e) for e in direct])
+
+    def test_partial_sum_over_text_raises_what_build_elements_raises(self):
+        template = template_to_construct(parse_query(
+            'WHERE <i><g>$g</g><v>$v</v></i> IN "x.y" '
+            'CONSTRUCT <out g=$g><s>sum($v)</s></out>'
+        ).construct)
+        rows = [BindingTuple({"g": 1, "v": "3"}), BindingTuple({"g": 1, "v": "x"})]
+        with pytest.raises(ExecutionError, match="sum over .*'x'"):
+            build_elements(template, rows)
+        groups = PartialGroups(template)
+        groups.observe(rows[0])
+        with pytest.raises(ExecutionError, match="sum over .*'x'"):
+            groups.observe(rows[1])
 
     def test_partial_state_is_smaller_than_rows_on_the_wire(self):
         template = template_to_construct(parse_query(
@@ -402,17 +418,13 @@ class TestBitEquivalenceProperty:
         n_shards=st.sampled_from([1, 2, 4, 8]),
         query=st.sampled_from(QUERIES),
         cache=st.booleans(),
-        vectorized=st.booleans(),
         faulty=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_sharded_equals_unsharded(self, n_rows, seed, n_shards, query,
-                                      cache, vectorized, faulty):
+                                      cache, faulty):
         rows = seeded_rows(n_rows, seed)
-        kwargs = dict(
-            fragment_cache_bytes=300_000 if cache else 0,
-            vectorized=vectorized,
-        )
+        kwargs = dict(fragment_cache_bytes=300_000 if cache else 0)
         if faulty:
             kwargs["resilience"] = _retrying()
 
@@ -471,18 +483,53 @@ class TestColumnStatistics:
         assert column.selectivity(">", 99) == pytest.approx(1 / 100)
         assert column.selectivity("<", "zed") is None
 
-    def test_vectorized_scan_populates_engine_stats(self):
-        engine = build_engine(seeded_rows(20), vectorized=True,
-                              column_statistics=True)
+    def test_shredding_pads_absent_fields_without_observing_them(self):
+        stats = TableStats()
+        columns = shred_records(
+            [Record({"k": 1}), Record({"k": 2, "v": NULL}), Record({"v": 5})],
+            stats,
+        )
+        assert columns == {"k": [1, 2, MISSING], "v": [MISSING, NULL, 5]}
+        k, v = stats.column("k"), stats.column("v")
+        # padding is neither a row nor a NULL; the NULL a record holds is both
+        assert (k.rows, k.nulls, k.bounds()) == (2, 0, (1, 2))
+        assert (v.rows, v.nulls, v.bounds()) == (2, 1, (5, 5))
+
+    def test_scan_populates_engine_stats(self):
+        """No other knob: a whole-relation scan observes its records,
+        once per scan."""
+        rows = [(k, k % 3, None if k == 4 else k * 10) for k in range(20)]
+        engine = build_engine(rows, column_statistics=True)
         engine.query(QUERIES[0])
-        tables = engine.column_stats.tables
-        assert tables, "full scan should have populated statistics"
-        (table,) = tables.values()
-        assert table.column("k").bounds() == (0, 19)
+        (table,) = engine.column_stats.tables.values()
+        k, v = table.column("k"), table.column("v")
+        assert (k.rows, k.nulls, k.distinct, k.bounds()) == (20, 0, 20, (0, 19))
+        assert (v.rows, v.nulls, v.distinct, v.bounds()) == (20, 1, 19, (0, 190))
+        engine.query(QUERIES[0])
+        assert (k.rows, k.distinct, k.bounds()) == (40, 20, (0, 19))
+
+    def test_dependent_probes_do_not_pollute_statistics(self):
+        engine = build_engine(seeded_rows(6), column_statistics=True)
+        service = WebServiceSource("svc")
+        service.add_endpoint(
+            "score", ["k"], RecordType.of("score", k="number", s="number"),
+            lambda inputs: [{"s": inputs["k"] * 2}], estimated_rows=1,
+        )
+        engine.catalog.registry.register(service)
+        engine.catalog.map_relation("score", "svc", "score")
+        result = engine.query(
+            'WHERE <i><k>$k</k><v>$v</v></i> IN "items", '
+            '<score><k>$k</k><s>$s</s></score> IN "score" '
+            'CONSTRUCT <r k=$k>$s</r>'
+        )
+        assert len(result.elements) == 6
+        # the scan of items was observed; none of the six probes was
+        (table,) = engine.column_stats.tables.values()
+        assert set(table.columns) == {"k", "v"}
+        assert table.column("k").rows == 6
 
     def test_conditioned_scans_do_not_pollute_statistics(self):
-        engine = build_engine(seeded_rows(20), vectorized=True,
-                              column_statistics=True)
+        engine = build_engine(seeded_rows(20), column_statistics=True)
         engine.query(
             'WHERE <i><k>$k</k><v>$v</v></i> IN "items", $k >= 15 '
             'CONSTRUCT <r>$k</r>'
@@ -491,8 +538,7 @@ class TestColumnStatistics:
 
     def test_stats_based_shard_skipping_end_to_end(self):
         rows = seeded_rows(32)
-        router = build_router(rows, 4, vectorized=True,
-                              column_statistics=True)
+        router = build_router(rows, 4, column_statistics=True)
         # warm-up full scan populates each shard's observed key bounds
         router.query(QUERIES[0])
         result = router.query(
@@ -506,10 +552,23 @@ class TestColumnStatistics:
         assert counters["shards_stats_skipped"] >= 1
         assert counters["shards_executed"] == 0
 
+    def test_router_reports_the_bounds_that_pruned_a_shard(self):
+        router = build_router(seeded_rows(32), 4, column_statistics=True)
+        tracer = Tracer(router.clock)
+        router.use_tracer(tracer)
+        router.query(QUERIES[0])
+        router.query(
+            'WHERE <i><k>$k</k><v>$v</v></i> IN "items", $k > 100 '
+            'CONSTRUCT <r>$k</r>'
+        )
+        scatter = tracer.last_trace.find("scatter")[0]
+        reasons = [event.attrs["reason"] for event in scatter.events
+                   if event.name == "shard_pruned"]
+        assert "stats [24, 31] contradict predicates" in reasons
+
     def test_cost_model_prefers_observed_selectivity(self):
         engine = build_engine(
-            [(k, 0, k) for k in range(100)],
-            vectorized=True, column_statistics=True,
+            [(k, 0, k) for k in range(100)], column_statistics=True,
         )
         narrow = ('WHERE <i><k>$k</k><v>$v</v></i> IN "items", $v > 95 '
                   'CONSTRUCT <r>$k</r>')

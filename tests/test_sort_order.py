@@ -9,9 +9,11 @@ Null for every operator that shares the decorated sort.
 import datetime
 from functools import cmp_to_key
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.algebra.operators import Limit, Sort, TopK, fuse_sort_limit, sort_rows
+from repro.algebra.operators import (
+    Limit, Select, Sort, TopK, fuse_sort_limit, sort_rows,
+)
 from repro.algebra.scans import BindingsSource
 from repro.algebra.tuples import BindingTuple
 from repro.query import ast
@@ -66,12 +68,10 @@ class TestDecoratedSort:
             comparator_sort(rows, keys)
         )
 
-    @given(rows, key_specs, st.booleans())
-    def test_sort_operator_row_and_batch_paths(self, rows, specs, vectorized):
+    @given(rows, key_specs)
+    def test_sort_operator_matches_the_comparator(self, rows, specs):
         keys = compiled(specs)
         sort = Sort(BindingsSource(rows), keys)
-        if vectorized:
-            sort.bind_vectorized(4)
         assert list(sort) == comparator_sort(rows, keys)
 
     @given(rows, key_specs, st.integers(0, 13))
@@ -104,3 +104,49 @@ class TestDecoratedSort:
             (n % 7 for n in range(50)), reverse=True
         )
         assert len(calls) == 50
+
+
+# -- Limit(Sort) fused into TopK -----------------------------------------------
+
+tie_values = st.one_of(
+    st.integers(-20, 20),
+    st.sampled_from(["ada", "bob", "cy", "", "7"]),
+    st.booleans(),
+)
+# heterogeneous rows: each binds a subset of {a, b, c}, and the sort key
+# "c" has six distinct values, so duplicate keys are the common case
+tie_rows = st.lists(
+    st.fixed_dictionaries(
+        {"a": tie_values},
+        optional={"b": tie_values, "c": st.integers(0, 5)},
+    ).map(BindingTuple),
+    max_size=40,
+)
+
+
+def by_c():
+    return [(lambda row: row.get("c", -1), False)]
+
+
+def materialize(root):
+    """Rows as order-insensitive (var, value) item tuples."""
+    return [tuple(sorted(row.as_dict().items())) for row in root]
+
+
+class TestTopKFusion:
+    @given(tie_rows, st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_fused_topk_pins_order_and_ties(self, rows, limit):
+        # the fused TopK must keep the stable sort's tie order exactly
+        unfused = Limit(Sort(BindingsSource(rows), by_c()), limit)
+        expected = materialize(unfused)
+        fused = fuse_sort_limit(
+            Limit(Sort(BindingsSource(rows), by_c()), limit)
+        )
+        assert isinstance(fused, TopK)
+        assert materialize(fused) == expected
+
+    def test_fusion_only_rewrites_adjacent_pairs(self):
+        source = BindingsSource([BindingTuple({"a": 1})])
+        root = Limit(Select(Sort(source, by_c()), lambda row: True), 1)
+        assert fuse_sort_limit(root) is root  # Select in between: no fusion

@@ -317,8 +317,8 @@ def answer(result):
 
 
 SWEEP = [
-    dict(vectorized=v, provenance=p, fragment_cache_bytes=c)
-    for v, p, c in itertools.product((False, True), (False, True), (0, 1 << 20))
+    dict(provenance=p, fragment_cache_bytes=c)
+    for p, c in itertools.product((False, True), (0, 1 << 20))
 ]
 
 
