@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import BenchStats, print_table, write_bench_json
+from common import BenchStats, Rows, print_table, write_bench_json
 
 from repro import (
     Catalog,
@@ -36,7 +36,6 @@ from repro import (
 )
 from repro.algebra import (
     BindingTuple,
-    BindingsSource,
     Construct,
     ConstructTemplate,
     TemplateVar,
@@ -213,7 +212,7 @@ def ablation_construct() -> list[list]:
                             ("per-binding", flat_template)):
         started = time.perf_counter()
         produced = sum(
-            1 for _ in Construct(BindingsSource(rows), template, "out")
+            1 for _ in Construct(Rows(rows), template, "out")
         )
         elapsed = (time.perf_counter() - started) * 1000
         out.append([label, produced, round(elapsed, 1)])

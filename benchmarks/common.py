@@ -18,12 +18,24 @@ import os
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.algebra import Operator
 from repro.observability.metrics import percentile as _nearest_rank_percentile
 
 #: where BENCH_<name>.json files land; override with BENCH_RESULTS_DIR
 RESULTS_DIR = Path(
     os.environ.get("BENCH_RESULTS_DIR", Path(__file__).parent / "results")
 )
+
+
+class Rows(Operator):
+    """Replays fixed binding rows: the input of an operator microbenchmark."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def _produce(self):
+        yield from self.rows
 
 
 def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:

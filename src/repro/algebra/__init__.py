@@ -7,13 +7,16 @@ internal representation and "from there directly to query execution plans
 in the physical algebra".
 
 Operators are Python iterators over :class:`BindingTuple` (variable ->
-model value maps).  The operator set covers both relational shapes
-(scan/select/project/join/group) and the XML-specific features the
-paper's conclusion lists: document order (Sort over document positions),
-tree-pattern navigation (:class:`PatternMatch`, :class:`Navigate`, and
-:class:`ViewMatch` for a pattern over a mediated view's binding rows),
-element construction with grouping (:class:`Construct`) and recursion
-(:class:`FixPoint`).
+model value maps).  The set is exactly what the planners build:
+:class:`CallbackScan` (the wrapper fetch), :class:`Select`,
+:class:`Compute`, the joins (:class:`HashJoin`, :class:`NestedLoopJoin`,
+:class:`DependentJoin`, :class:`BatchedDependentJoin`), ORDER BY
+(:class:`Sort`, :class:`Limit`, and :class:`TopK` fused from the two),
+tree-pattern navigation (:class:`PatternMatch`, and :class:`ViewMatch`
+for a pattern over a mediated view's binding rows) and element
+construction with grouping and aggregates (:class:`Construct`).  The
+planner's own leaf, ``FragmentScan``, lives in :mod:`repro.optimizer.planner`.
+Recursive queries are not supported.
 """
 
 from repro.algebra.construct import (
@@ -31,14 +34,11 @@ from repro.algebra.joins import (
 )
 from repro.algebra.operators import (
     Compute,
-    Distinct,
     Limit,
     Operator,
-    Project,
     Select,
     Sort,
     TopK,
-    Union,
     fuse_sort_limit,
     sort_rows,
 )
@@ -55,44 +55,33 @@ from repro.algebra.merge import (
     merge_sorted,
     topk_rows,
 )
-from repro.algebra.grouping import Aggregate, AggregateSpec, GroupBy
 from repro.algebra.pattern import AttributePattern, TreePattern
-from repro.algebra.navigate import Navigate, PatternMatch
+from repro.algebra.navigate import PatternMatch
 from repro.algebra.plan import Plan
-from repro.algebra.recursion import FixPoint
-from repro.algebra.scans import BindingsSource, CallbackScan, CollectionScan
+from repro.algebra.scans import CallbackScan
 from repro.algebra.tuples import BindingTuple, EMPTY_TUPLE
 from repro.algebra.viewmatch import ViewMatch
 
 __all__ = [
-    "Aggregate",
-    "AggregateSpec",
     "AttributePattern",
     "BatchedDependentJoin",
     "BindingTuple",
-    "BindingsSource",
     "CallbackScan",
-    "CollectionScan",
     "ColumnStats",
     "ColumnStatsRepository",
     "Compute",
     "Construct",
     "ConstructTemplate",
     "DependentJoin",
-    "Distinct",
     "EMPTY_TUPLE",
-    "FixPoint",
-    "GroupBy",
     "HashJoin",
     "Limit",
     "MISSING",
-    "Navigate",
     "NestedLoopJoin",
     "Operator",
     "PartialGroups",
     "PatternMatch",
     "Plan",
-    "Project",
     "Select",
     "Sort",
     "TableStats",
@@ -100,7 +89,6 @@ __all__ = [
     "TemplateVar",
     "TopK",
     "TreePattern",
-    "Union",
     "ViewMatch",
     "build_elements",
     "dedup_rows",

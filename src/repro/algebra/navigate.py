@@ -1,4 +1,4 @@
-"""Navigation operators: tree-pattern matching and path evaluation."""
+"""Navigation: tree-pattern matching at any depth of a document."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.algebra.pattern import TreePattern, match_pattern
 from repro.algebra.tuples import BindingTuple
 from repro.xmldm.document import Document
 from repro.xmldm.nodes import Element
-from repro.xmldm.path import Path
 
 
 def match_anywhere(
@@ -50,26 +49,3 @@ class PatternMatch(Operator):
 
     def describe(self) -> str:
         return f"PatternMatch(${self.context_var} ~ {self.pattern.describe()})"
-
-
-class Navigate(Operator):
-    """Bind ``out_var`` to each result of a path from ``context_var``."""
-
-    def __init__(self, child: Operator, context_var: str, path: Path | str, out_var: str):
-        super().__init__(child)
-        self.context_var = context_var
-        self.path = Path.parse(path) if isinstance(path, str) else path
-        self.out_var = out_var
-
-    def _produce(self) -> Iterator[BindingTuple]:
-        for row in self.children[0]:
-            context = row.get(self.context_var)
-            if context is None:
-                continue
-            for result in self.path.evaluate(context):
-                extended = row.extend(self.out_var, result)
-                if extended is not None:
-                    yield extended
-
-    def describe(self) -> str:
-        return f"Navigate(${self.context_var} {self.path.text} -> ${self.out_var})"

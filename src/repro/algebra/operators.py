@@ -1,4 +1,4 @@
-"""Core tuple-at-a-time operators: select, project, compute, sort, union."""
+"""Core tuple-at-a-time operators: select, compute, sort, limit, top-k."""
 
 from __future__ import annotations
 
@@ -119,21 +119,6 @@ class Select(Operator):
         return f"Select({self.label})" if self.label else "Select"
 
 
-class Project(Operator):
-    """Keep only the named variables."""
-
-    def __init__(self, child: Operator, variables: Sequence[str]):
-        super().__init__(child)
-        self.variables = tuple(variables)
-
-    def _produce(self) -> Iterator[BindingTuple]:
-        for row in self.children[0]:
-            yield row.project(self.variables)
-
-    def describe(self) -> str:
-        return f"Project({', '.join('$' + v for v in self.variables)})"
-
-
 class Compute(Operator):
     """Bind a new variable to a computed value."""
 
@@ -152,43 +137,6 @@ class Compute(Operator):
     def describe(self) -> str:
         suffix = f" = {self.label}" if self.label else ""
         return f"Compute(${self.var}{suffix})"
-
-
-class Distinct(Operator):
-    """Remove duplicate tuples over the named variables (default: all)."""
-
-    def __init__(self, child: Operator, variables: Sequence[str] | None = None):
-        super().__init__(child)
-        self.variables = tuple(variables) if variables is not None else None
-
-    def _produce(self) -> Iterator[BindingTuple]:
-        seen_keys: set[str] = set()
-        for row in self.children[0]:
-            view = row if self.variables is None else row.project(self.variables)
-            key = repr(sorted(view.as_dict().items()))
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            yield row
-
-    def describe(self) -> str:
-        if self.variables is None:
-            return "Distinct"
-        return f"Distinct({', '.join('$' + v for v in self.variables)})"
-
-
-class Union(Operator):
-    """Concatenate the outputs of several children (bag union)."""
-
-    def __init__(self, *children: Operator):
-        super().__init__(*children)
-
-    def _produce(self) -> Iterator[BindingTuple]:
-        for child in self.children:
-            yield from child
-
-    def describe(self) -> str:
-        return f"Union({len(self.children)})"
 
 
 def stable_order(

@@ -1,4 +1,4 @@
-"""Leaf operators: the places tuples enter a plan."""
+"""The leaf operator through which wrapper fetches enter a plan."""
 
 from __future__ import annotations
 
@@ -6,38 +6,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra.operators import Operator
 from repro.algebra.tuples import BindingTuple
-
-
-class BindingsSource(Operator):
-    """Replays a fixed list of binding tuples (constants, cached results)."""
-
-    def __init__(self, tuples: Iterable[BindingTuple], label: str = "bindings"):
-        super().__init__()
-        self.tuples = list(tuples)
-        self.label = label
-
-    def _produce(self) -> Iterator[BindingTuple]:
-        yield from self.tuples
-
-    def describe(self) -> str:
-        return f"BindingsSource({self.label}, {len(self.tuples)})"
-
-
-class CollectionScan(Operator):
-    """Binds each item of an in-memory iterable to a variable."""
-
-    def __init__(self, var: str, items: Iterable[Any], label: str = ""):
-        super().__init__()
-        self.var = var
-        self.items = items
-        self.label = label
-
-    def _produce(self) -> Iterator[BindingTuple]:
-        for item in self.items:
-            yield BindingTuple({self.var: item})
-
-    def describe(self) -> str:
-        return f"CollectionScan(${self.var}{', ' + self.label if self.label else ''})"
 
 
 class CallbackScan(Operator):

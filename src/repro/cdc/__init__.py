@@ -1,4 +1,4 @@
-"""Change data capture: feeds, diffing, delta algebra, change scoping.
+"""Change data capture: feeds, diffing, delta aggregation, change scoping.
 
 The subsystem that turns the warehouse tier from "fast but stale" into
 "fast and fresh" (paper §3.3's compound architecture under writes):
@@ -7,8 +7,8 @@ The subsystem that turns the warehouse tier from "fast but stale" into
   monotonically increasing sequence numbers;
 * :mod:`differ` — subtree-hash document diffing for snapshot-only
   sources (hash every node, recurse only into changed hashes);
-* :mod:`delta` — delta counterparts of the algebra operators, including
-  grouped aggregation with retraction;
+* :mod:`delta` — grouped aggregation with retraction, which keeps a
+  materialized view's aggregate elements current row by row;
 * :mod:`scope` — mapping one change to the fragments it can affect:
   key-range exclusion, in-place record patches.
 
@@ -18,16 +18,7 @@ drives scoped cache/store invalidation.
 """
 
 from repro.cdc.changelog import CHANGE_OPS, ChangeLog, ChangeRecord
-from repro.cdc.delta import (
-    DeltaCompute,
-    DeltaDistinct,
-    DeltaGroups,
-    DeltaJoin,
-    DeltaProject,
-    DeltaSelect,
-    DeltaUnsupported,
-    RowDelta,
-)
+from repro.cdc.delta import DeltaGroups, DeltaUnsupported
 from repro.cdc.differ import NodeChange, diff_documents, row_key
 from repro.cdc.scope import (
     Applied,
@@ -46,17 +37,11 @@ __all__ = [
     "CHANGE_OPS",
     "ChangeLog",
     "ChangeRecord",
-    "DeltaCompute",
-    "DeltaDistinct",
     "DeltaGroups",
-    "DeltaJoin",
-    "DeltaProject",
-    "DeltaSelect",
     "DeltaUnsupported",
     "FragmentPatch",
     "KeyedRecords",
     "NodeChange",
-    "RowDelta",
     "apply_to_fragment",
     "change_key_var",
     "diff_documents",

@@ -10,6 +10,7 @@ answer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -19,6 +20,11 @@ from repro.core.formatting import DEVICES, format_result
 from repro.core.partial import PartialResultPolicy
 from repro.errors import LensError
 from repro.resilience.admission import Priority
+
+#: a ``{name}`` parameter hole in a lens query's text
+_HOLE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+#: what the lexer reads as a number: unsigned digits, one optional dot
+_NUMERAL = re.compile(r"\d+(\.\d+)?")
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,14 @@ class Lens:
         if self.default_device not in DEVICES:
             raise LensError(f"lens {self.name!r}: unknown device {self.default_device!r}")
         self.priority = Priority(self.priority)
+        declared = {parameter.name for parameter in self.parameters}
+        for query_name, text in self.queries.items():
+            for hole in _HOLE.findall(text):
+                if hole not in declared:
+                    raise LensError(
+                        f"lens {self.name!r} query {query_name!r} has a hole "
+                        f"{{{hole}}} that names no declared parameter"
+                    )
 
     def resolve_parameters(self, supplied: Mapping[str, Any]) -> dict[str, Any]:
         values: dict[str, Any] = {}
@@ -75,26 +89,40 @@ class Lens:
 
         ``{param}`` holes take the *literal* form of the value: strings
         are quoted and escaped, numbers appear bare — so substitution
-        cannot change the query's structure.
+        cannot change the query's structure.  Every hole is filled in one
+        pass over the original text, so a value that contains ``{other}``
+        stays part of its literal.  A value the grammar has no literal
+        for (None, a negative or exponent number, inf, nan) raises
+        :class:`LensError`.
         """
         if query_name not in self.queries:
             raise LensError(
                 f"lens {self.name!r} has no query {query_name!r} "
                 f"(has {sorted(self.queries)})"
             )
-        text = self.queries[query_name]
-        for name, value in self.resolve_parameters(supplied).items():
-            text = text.replace("{" + name + "}", _literal(value))
-        return text
+        values = self.resolve_parameters(supplied)
+        return _HOLE.sub(
+            lambda hole: self._literal(hole[1], values[hole[1]]),
+            self.queries[query_name],
+        )
 
-
-def _literal(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    def _literal(self, name: str, value: Any) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, float)):
+            text = repr(value)
+            if not _NUMERAL.fullmatch(text):
+                raise LensError(
+                    f"lens {self.name!r}: parameter {name!r} = {text} has no "
+                    "literal in the query language"
+                )
+            return text
+        if value is None:
+            raise LensError(
+                f"lens {self.name!r}: parameter {name!r} has no value"
+            )
+        escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
 
 
 @dataclass

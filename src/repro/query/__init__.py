@@ -12,16 +12,17 @@ shape of the W3C XML-QL note:
     CONSTRUCT <result><title>$t</title><author>$a</author></result>
 
 A query is parsed (:mod:`parser`), semantically checked (:mod:`binder`)
-and translated directly to a physical-algebra plan (:mod:`translate`) —
-there is no intermediate logical algebra, exactly as section 3.1
-describes.
+and planned directly into the physical algebra by
+:class:`repro.optimizer.planner.PlanBuilder`, with :mod:`translate`
+converting patterns and templates — there is no intermediate logical
+algebra, exactly as section 3.1 describes.
 """
 
 from repro.query.ast import Query
 from repro.query.binder import BoundQuery, bind_query
 from repro.query.flwor import parse_flwor, translate_flwor
 from repro.query.parser import parse_query
-from repro.query.translate import SourceResolver, translate_query
+from repro.query.translate import SourceResolver
 
 __all__ = [
     "BoundQuery",
@@ -31,5 +32,4 @@ __all__ = [
     "parse_flwor",
     "parse_query",
     "translate_flwor",
-    "translate_query",
 ]

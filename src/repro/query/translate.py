@@ -1,13 +1,12 @@
-"""Direct translation from bound XML-QL queries to physical plans.
+"""Syntax-to-algebra conversions shared by the planners.
 
-This is the baseline compilation path ("we translate a query into an
-internal representation, and from there directly to query execution
-plans in the physical algebra", section 3.1): pattern clauses become
-scan+match operators joined left-to-right on shared variables,
-conditions become selections placed as early as their variables allow,
-and CONSTRUCT/ORDER BY finish the plan.  The cost-based decomposition
-into remote fragments lives in :mod:`repro.optimizer`, which builds on
-the same pieces.
+Section 3.1: "we translate a query into an internal representation, and
+from there directly to query execution plans in the physical algebra".
+The plans themselves are built by
+:class:`repro.optimizer.planner.PlanBuilder` (XML-QL) and
+:func:`repro.query.flwor.translate_flwor` (FLWOR); this module turns a
+query's syntactic patterns and templates into the algebra's
+:class:`TreePattern` and :class:`ConstructTemplate`.
 """
 
 from __future__ import annotations
@@ -15,27 +14,14 @@ from __future__ import annotations
 from typing import Any, Iterable, Protocol
 
 from repro.algebra import (
-    CallbackScan,
-    Construct,
     ConstructTemplate,
-    HashJoin,
-    NestedLoopJoin,
-    Operator,
-    PatternMatch,
-    Plan,
-    Select,
-    Sort,
     TemplateText,
     TemplateVar,
     TreePattern,
 )
 from repro.algebra.construct import TemplateAggregate
-from repro.algebra.operators import Limit
 from repro.algebra.pattern import AttributePattern
 from repro.query import ast
-from repro.query.binder import BoundQuery, bind_query
-from repro.query.exprs import compile_predicate, compile_sort_key
-from repro.query.parser import parse_query
 
 
 class SourceResolver(Protocol):
@@ -80,80 +66,3 @@ def template_to_construct(template: ast.TemplateElement) -> ConstructTemplate:
         ),
         children=tuple(children),
     )
-
-
-def translate_query(
-    query: ast.Query | str,
-    resolver: SourceResolver,
-    output_var: str = "result",
-) -> Plan:
-    """Build an executable plan for ``query`` over ``resolver``'s sources."""
-    if isinstance(query, str):
-        query = parse_query(query)
-    bound = bind_query(query)
-    root = build_binding_tree(bound, resolver)
-    if query.order_by:
-        keys = [
-            (compile_sort_key(spec.expr), spec.descending) for spec in query.order_by
-        ]
-        root = Sort(root, keys, label=", ".join(str(s.expr) for s in query.order_by))
-    root = Construct(root, template_to_construct(query.construct), output_var)
-    if query.limit is not None:
-        root = Limit(root, query.limit)
-    return Plan(root, output_var)
-
-
-def build_binding_tree(bound: BoundQuery, resolver: SourceResolver) -> Operator:
-    """The WHERE part only: joins of matched patterns plus conditions.
-
-    Conditions are applied as soon as all their variables are bound —
-    the translation-time equivalent of predicate pushdown.
-    """
-    query = bound.query
-    pending = list(zip(query.condition_clauses, bound.condition_vars))
-    root: Operator | None = None
-    bound_so_far: set[str] = set()
-    for index, clause in enumerate(query.pattern_clauses):
-        step = clause_operator(clause, index, resolver)
-        step_vars = set(bound.clause_vars[index])
-        if root is None:
-            root = step
-        else:
-            shared = tuple(sorted(bound_so_far & step_vars))
-            if shared:
-                root = HashJoin(root, step, shared)
-            else:
-                root = NestedLoopJoin(root, step)
-        bound_so_far |= step_vars
-        root = _apply_ready_conditions(root, pending, bound_so_far)
-    assert root is not None
-    # Any leftover conditions (shouldn't happen for safe queries).
-    for condition, _ in pending:
-        root = Select(root, compile_predicate(condition.expr), label=str(condition.expr))
-    return root
-
-
-def clause_operator(
-    clause: ast.PatternClause, index: int, resolver: SourceResolver
-) -> Operator:
-    """Scan a source and match the clause's pattern against its items."""
-    context_var = f"__src{index}"
-    scan = CallbackScan(
-        context_var, lambda name=clause.source: resolver(name), label=clause.source
-    )
-    return PatternMatch(scan, context_var, pattern_to_tree(clause.pattern))
-
-
-def _apply_ready_conditions(
-    root: Operator,
-    pending: list[tuple[ast.ConditionClause, frozenset[str]]],
-    bound_so_far: set[str],
-) -> Operator:
-    ready = [item for item in pending if item[1] <= bound_so_far]
-    for item in ready:
-        pending.remove(item)
-        condition, _ = item
-        root = Select(
-            root, compile_predicate(condition.expr), label=str(condition.expr)
-        )
-    return root

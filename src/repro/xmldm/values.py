@@ -52,7 +52,7 @@ class Record:
     """An ordered, immutable mapping of field names to model values.
 
     Records compare by content and hash by content, so they can key hash
-    joins and be deduplicated by ``Distinct``.
+    joins and group keys.
     """
 
     __slots__ = ("_fields",)
@@ -239,7 +239,7 @@ def compare_values(a: Any, b: Any) -> int:
     Values of the same type compare naturally; values of different types
     compare by a fixed type rank (null < boolean < number < string < date
     < record < collection < node).  Having a *total* order keeps Sort and
-    GroupBy deterministic over heterogeneous semi-structured data.
+    grouping deterministic over heterogeneous semi-structured data.
     """
     ka, kb = _comparison_key(a), _comparison_key(b)
     if ka < kb:

@@ -23,6 +23,7 @@ try:
 except ImportError:  # hypothesis is optional; property tests skip themselves
     pass
 
+from repro.algebra import CallbackScan, Operator
 from repro.mediator.catalog import Catalog
 from repro.simtime import SimClock
 from repro.sources.base import NetworkModel
@@ -43,6 +44,22 @@ BOOKS_XML = (
     "<price>49.99</price></book>"
     "</bib>"
 )
+
+
+class Rows(Operator):
+    """Replays fixed binding tuples: the row input of operator tests."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = list(rows)
+
+    def _produce(self):
+        yield from self.rows
+
+
+def scan(var, items):
+    """Bind each of ``items`` to ``$var``, the way a wrapper fetch does."""
+    return CallbackScan(var, lambda: items)
 
 
 def build_crm_database() -> Database:

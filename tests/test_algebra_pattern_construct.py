@@ -1,16 +1,12 @@
-"""Unit tests for tree-pattern matching, construction and recursion."""
+"""Unit tests for tree-pattern matching and construction."""
 
 import pytest
 
 from repro.algebra import (
     AttributePattern,
     BindingTuple,
-    BindingsSource,
-    CollectionScan,
     Construct,
     ConstructTemplate,
-    FixPoint,
-    Navigate,
     PatternMatch,
     TemplateText,
     TemplateVar,
@@ -18,9 +14,10 @@ from repro.algebra import (
     build_elements,
 )
 from repro.algebra.pattern import match_pattern
-from repro.errors import ExecutionError
 from repro.xmldm import parse_document, serialize
 from repro.xmldm.values import Collection, Record
+
+from .conftest import Rows, scan
 
 
 @pytest.fixture
@@ -35,25 +32,25 @@ def doc():
 class TestElementMatching:
     def test_leaf_text_binding(self, doc):
         pattern = TreePattern("title", text_var="t")
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", pattern))
+        out = list(PatternMatch(scan("d", [doc]), "d", pattern))
         assert [r["t"] for r in out] == ["A", "B"]
 
     def test_attribute_binding_and_literal(self, doc):
         pattern = TreePattern(
             "book", attributes=(AttributePattern("year", var="y"),)
         )
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", pattern))
+        out = list(PatternMatch(scan("d", [doc]), "d", pattern))
         assert [r["y"] for r in out] == ["1998", "2001"]
         literal = TreePattern(
             "book", attributes=(AttributePattern("year", literal="2001"),),
             children=(TreePattern("title", text_var="t"),),
         )
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", literal))
+        out = list(PatternMatch(scan("d", [doc]), "d", literal))
         assert [r["t"] for r in out] == ["B"]
 
     def test_missing_attribute_no_match(self, doc):
         pattern = TreePattern("title", attributes=(AttributePattern("id", var="i"),))
-        assert list(PatternMatch(CollectionScan("d", [doc]), "d", pattern)) == []
+        assert list(PatternMatch(scan("d", [doc]), "d", pattern)) == []
 
     def test_nested_children_product(self, doc):
         pattern = TreePattern(
@@ -63,7 +60,7 @@ class TestElementMatching:
                 TreePattern("author", text_var="a"),
             ),
         )
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", pattern))
+        out = list(PatternMatch(scan("d", [doc]), "d", pattern))
         assert [(r["t"], r["a"]) for r in out] == [
             ("A", "Smith"), ("A", "Lee"), ("B", "Smith"),
         ]
@@ -76,28 +73,28 @@ class TestElementMatching:
                 TreePattern("title", text_var="t"),
             ),
         )
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", pattern))
+        out = list(PatternMatch(scan("d", [doc]), "d", pattern))
         assert [r["t"] for r in out] == ["A"]
 
     def test_element_var_binds_node(self, doc):
         pattern = TreePattern("book", element_var="e")
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", pattern))
+        out = list(PatternMatch(scan("d", [doc]), "d", pattern))
         assert out[0]["e"].tag == "book"
 
     def test_wildcard_tag(self, doc):
         pattern = TreePattern("*", children=(TreePattern("title", text_var="t"),))
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", pattern))
+        out = list(PatternMatch(scan("d", [doc]), "d", pattern))
         assert {r["t"] for r in out} == {"A", "B"}
 
     def test_descendant_child_pattern(self):
         doc = parse_document("<a><wrap><x>1</x></wrap><x>2</x></a>")
         direct = TreePattern("a", children=(TreePattern("x", text_var="v"),))
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", direct))
+        out = list(PatternMatch(scan("d", [doc]), "d", direct))
         assert [r["v"] for r in out] == ["2"]
         deep = TreePattern(
             "a", children=(TreePattern("x", text_var="v", descendant=True),)
         )
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", deep))
+        out = list(PatternMatch(scan("d", [doc]), "d", deep))
         assert sorted(r["v"] for r in out) == ["1", "2"]
 
     def test_shared_variable_unification(self):
@@ -108,7 +105,7 @@ class TestElementMatching:
             "p",
             children=(TreePattern("a", text_var="x"), TreePattern("b", text_var="x")),
         )
-        out = list(PatternMatch(CollectionScan("d", [doc]), "d", pattern))
+        out = list(PatternMatch(scan("d", [doc]), "d", pattern))
         assert len(out) == 1  # only the p where a == b
 
 
@@ -119,13 +116,13 @@ class TestRecordMatching:
             "customer",
             children=(TreePattern("id", text_var="i"), TreePattern("name", text_var="n")),
         )
-        out = list(PatternMatch(CollectionScan("c", records), "c", pattern))
+        out = list(PatternMatch(scan("c", records), "c", pattern))
         assert [(r["i"], r["n"]) for r in out] == [(1, "Ann"), (2, "Bob")]
 
     def test_field_literal(self):
         records = [Record({"city": "Sea"}), Record({"city": "PDX"})]
         pattern = TreePattern("c", children=(TreePattern("city", text_literal="Sea"),))
-        out = list(PatternMatch(CollectionScan("c", records), "c", pattern))
+        out = list(PatternMatch(scan("c", records), "c", pattern))
         assert len(out) == 1
 
     def test_missing_field_no_match(self):
@@ -161,7 +158,7 @@ class TestConstruct:
                 TreePattern("author", text_var="a"),
             ),
         )
-        return list(PatternMatch(CollectionScan("d", [doc]), "d", pattern))
+        return list(PatternMatch(scan("d", [doc]), "d", pattern))
 
     def test_per_binding_when_no_direct_vars(self, doc):
         template = ConstructTemplate(
@@ -171,7 +168,7 @@ class TestConstruct:
                 ConstructTemplate("a", children=(TemplateVar("a"),)),
             ),
         )
-        out = list(Construct(BindingsSource(self.rows(doc)), template, "r"))
+        out = list(Construct(Rows(self.rows(doc)), template, "r"))
         assert len(out) == 3
 
     def test_grouping_by_direct_vars(self, doc):
@@ -180,7 +177,7 @@ class TestConstruct:
             attributes=(("name", TemplateVar("a")),),
             children=(ConstructTemplate("title", children=(TemplateVar("t"),)),),
         )
-        out = list(Construct(BindingsSource(self.rows(doc)), template, "r"))
+        out = list(Construct(Rows(self.rows(doc)), template, "r"))
         rendered = [serialize(r["r"]) for r in out]
         assert rendered == [
             '<writer name="Smith"><title>A</title><title>B</title></writer>',
@@ -193,12 +190,12 @@ class TestConstruct:
             attributes=(("kind", "book"),),
             children=(TemplateText("title: "), TemplateVar("t")),
         )
-        out = list(Construct(BindingsSource(self.rows(doc)[:1]), template, "r"))
+        out = list(Construct(Rows(self.rows(doc)[:1]), template, "r"))
         assert serialize(out[0]["r"]) == '<x kind="book">title: A</x>'
 
     def test_empty_input_constructs_nothing(self):
         template = ConstructTemplate("x")
-        assert list(Construct(BindingsSource([]), template, "r")) == []
+        assert list(Construct(Rows([]), template, "r")) == []
 
     def test_record_value_renders_fields(self):
         rows = [BindingTuple({"rec": Record({"a": 1, "b": "two"})})]
@@ -211,48 +208,3 @@ class TestConstruct:
         template = ConstructTemplate("x", children=(TemplateVar("v"),))
         assert len(build_elements(template, rows)) == 1
 
-
-class TestNavigateOperator:
-    def test_navigate_binds_results(self, doc):
-        out = list(Navigate(CollectionScan("d", [doc.root]), "d", "//title", "t"))
-        assert [r["t"].text_content() for r in out] == ["A", "B"]
-
-
-class TestFixPoint:
-    def test_transitive_closure(self):
-        edges = [(1, 2), (2, 3), (3, 4)]
-        seed = BindingsSource([BindingTuple({"a": 1, "b": 2})])
-
-        def step(delta):
-            out = []
-            for row in delta:
-                for source, target in edges:
-                    if source == row["b"]:
-                        out.append(BindingTuple({"a": row["a"], "b": target}))
-            return out
-
-        result = sorted((r["a"], r["b"]) for r in FixPoint(seed, step))
-        assert result == [(1, 2), (1, 3), (1, 4)]
-
-    def test_cycle_terminates(self):
-        edges = [(1, 2), (2, 1)]
-        seed = BindingsSource([BindingTuple({"a": 1, "b": 2})])
-
-        def step(delta):
-            out = []
-            for row in delta:
-                for source, target in edges:
-                    if source == row["b"]:
-                        out.append(BindingTuple({"a": row["a"], "b": target}))
-            return out
-
-        assert len(list(FixPoint(seed, step))) == 2
-
-    def test_runaway_guard(self):
-        seed = BindingsSource([BindingTuple({"n": 0})])
-
-        def step(delta):
-            return [BindingTuple({"n": row["n"] + 1}) for row in delta]
-
-        with pytest.raises(ExecutionError):
-            list(FixPoint(seed, step, max_rounds=10))

@@ -14,16 +14,13 @@ import random
 import pytest
 
 from repro.admin import FreshnessMonitor, ManagementConsole
+from repro.algebra.construct import build_elements
 from repro.algebra.tuples import BindingTuple
 from repro.cdc import (
     ChangeLog,
     ChangeRecord,
-    DeltaDistinct,
     DeltaGroups,
-    DeltaJoin,
-    DeltaSelect,
     DeltaUnsupported,
-    RowDelta,
     diff_documents,
     fragment_patch,
     key_affected,
@@ -37,7 +34,6 @@ from repro.materialize.policy import RefreshPolicy
 from repro.mediator.catalog import Catalog
 from repro.mediator.schema import MediatedSchema, ViewDef
 from repro.query import ast as qast
-from repro.query.exprs import compile_predicate
 from repro.query.parser import parse_query
 from repro.query.translate import template_to_construct
 from repro.resilience import FaultModel, ResiliencePolicy, RetryPolicy
@@ -289,78 +285,47 @@ def _row(**kw):
     return BindingTuple(kw)
 
 
+def _group_template(construct):
+    return template_to_construct(parse_query(
+        'WHERE <i><g>$g</g><v>$v</v></i> IN "x" CONSTRUCT ' + construct
+    ).construct)
+
+
+def _observed(template, rows):
+    """DeltaGroups over ``rows``, each observed at its list index."""
+    groups = DeltaGroups(template)
+    for position, row in enumerate(rows):
+        groups.observe(row, position)
+    return groups
+
+
+def _rendered(elements):
+    return [serialize(e) for e in elements]
+
+
 class TestDeltaOperators:
-    def test_select_flips(self):
-        predicate = compile_predicate(
-            qast.BinOp(">", qast.Var("v"), qast.Literal(5))
-        )
-        select = DeltaSelect(predicate)
-        flip_in = select.apply_delta(
-            [RowDelta("update", row=_row(v=9), before=_row(v=1))]
-        )
-        assert [d.op for d in flip_in] == ["insert"]
-        flip_out = select.apply_delta(
-            [RowDelta("update", row=_row(v=1), before=_row(v=9))]
-        )
-        assert [d.op for d in flip_out] == ["delete"]
-        dropped = select.apply_delta(
-            [RowDelta("insert", row=_row(v=1))]
-        )
-        assert dropped == []
-
-    def test_distinct_retraction_with_survivors_unsupported(self):
-        distinct = DeltaDistinct()
-        distinct.observe(_row(a=1))
-        distinct.observe(_row(a=1))
-        with pytest.raises(DeltaUnsupported):
-            # one duplicate survives: emitting a delete would be wrong,
-            # emitting nothing leaves the count wrong — punt to rebuild
-            distinct.apply_delta([RowDelta("delete", before=_row(a=1))])
-
-    def test_distinct_last_copy_deletes(self):
-        distinct = DeltaDistinct()
-        distinct.observe(_row(a=1))
-        out = distinct.apply_delta([RowDelta("delete", before=_row(a=1))])
-        assert [d.op for d in out] == ["delete"]
-
-    def test_join_pairs_updates(self):
-        join = DeltaJoin([_row(k=1, extra="x")], ("k",))
-        out = join.apply_delta([RowDelta("insert", row=_row(k=1, v=2))])
-        assert out[0].row.get("extra") == "x"
-
     def test_groups_count_sum_avg_exact(self):
-        template = template_to_construct(parse_query(
-            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
-            "CONSTRUCT <r id=$g><n>count($v)</n><s>sum($v)</s>"
-            "<m>avg($v)</m></r>"
-        ).construct)
-        groups = DeltaGroups(template)
+        template = _group_template(
+            "<r id=$g><n>count($v)</n><s>sum($v)</s><m>avg($v)</m></r>"
+        )
         base = [_row(g=1, v=10), _row(g=1, v=20), _row(g=2, v=5)]
-        for row in base:
-            groups.observe(row)
-        groups.apply_delta([
-            RowDelta("update", row=_row(g=1, v=30), before=_row(g=1, v=10)),
-            RowDelta("delete", before=_row(g=2, v=5)),
-            RowDelta("insert", row=_row(g=2, v=7)),
-        ])
-        maintained = [serialize(e) for e in groups.finalize(
-            [_row(g=1, v=30), _row(g=1, v=20), _row(g=2, v=7)]
-        )]
-        recomputed = DeltaGroups(template)
+        groups = _observed(template, base)
+        # update position 0, delete position 2, insert at position 3
+        groups.retract(base[0], 0)
+        groups.observe(_row(g=1, v=30), 0)
+        groups.retract(base[2], 2)
+        groups.observe(_row(g=2, v=7), 3)
         final = [_row(g=1, v=30), _row(g=1, v=20), _row(g=2, v=7)]
-        for row in final:
-            recomputed.observe(row)
-        assert maintained == [serialize(e) for e in recomputed.finalize(final)]
+        assert _rendered(groups.finalize_positioned()) == _rendered(
+            build_elements(template, final)
+        )
 
     def test_groups_positioned_render_matches_the_walk(self):
         """Rows observed at their base positions render, from the states
-        alone, what ``finalize`` renders from a walk over the base rows:
+        alone, what construction renders from a walk over the base rows:
         a group is represented by its first base row and emitted where
         that row stands — also after the representative moves away."""
-        template = template_to_construct(parse_query(
-            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
-            "CONSTRUCT <r id=$g><n>count($v)</n><s>sum($v)</s></r>"
-        ).construct)
+        template = _group_template("<r id=$g><n>count($v)</n><s>sum($v)</s></r>")
         rng = random.Random(5)
         groups = DeltaGroups(template)
         base: dict[tuple, BindingTuple] = {}  # position -> row, in order
@@ -377,55 +342,37 @@ class TestDeltaOperators:
                 next_slot += 1
             base[position] = _row(g=rng.randrange(6), v=rng.randrange(50))
             groups.observe(base[position], position)
-            walked = groups.finalize(base[p] for p in sorted(base))
-            assert ([serialize(e) for e in groups.finalize_positioned()]
-                    == [serialize(e) for e in walked])
+            walked = build_elements(template, [base[p] for p in sorted(base)])
+            assert _rendered(groups.finalize_positioned()) == _rendered(walked)
         with pytest.raises(DeltaUnsupported):
             groups.retract(base[position], (next_slot, 0))
 
     def test_positioned_render_refuses_unpositioned_rows(self):
-        template = template_to_construct(parse_query(
-            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
-            "CONSTRUCT <r id=$g><n>count($v)</n></r>"
-        ).construct)
-        groups = DeltaGroups(template)
-        groups.observe(_row(g=1, v=3), (0, 0))
-        groups.observe(_row(g=1, v=8))
-        with pytest.raises(DeltaUnsupported):
-            groups.finalize_positioned()
+        groups = _observed(_group_template("<r id=$g><n>count($v)</n></r>"),
+                           [_row(g=1, v=3)])
+        with pytest.raises(TypeError):
+            groups.observe(_row(g=1, v=8))
+        with pytest.raises(TypeError):
+            groups.retract(_row(g=1, v=3))
 
     def test_min_retraction_of_extreme_unsupported(self):
-        template = template_to_construct(parse_query(
-            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
-            "CONSTRUCT <r id=$g><lo>min($v)</lo></r>"
-        ).construct)
-        groups = DeltaGroups(template)
-        groups.observe(_row(g=1, v=3))
-        groups.observe(_row(g=1, v=8))
+        template = _group_template("<r id=$g><lo>min($v)</lo></r>")
+        groups = _observed(template, [_row(g=1, v=3), _row(g=1, v=8)])
         with pytest.raises(DeltaUnsupported):
-            groups.apply_delta([RowDelta("delete", before=_row(g=1, v=3))])
+            groups.retract(_row(g=1, v=3), 0)
 
     def test_min_retraction_of_non_extreme_fine(self):
-        template = template_to_construct(parse_query(
-            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
-            "CONSTRUCT <r id=$g><lo>min($v)</lo></r>"
-        ).construct)
-        groups = DeltaGroups(template)
-        groups.observe(_row(g=1, v=3))
-        groups.observe(_row(g=1, v=8))
-        groups.apply_delta([RowDelta("delete", before=_row(g=1, v=8))])
-        out = groups.finalize([_row(g=1, v=3)])
+        template = _group_template("<r id=$g><lo>min($v)</lo></r>")
+        groups = _observed(template, [_row(g=1, v=3), _row(g=1, v=8)])
+        groups.retract(_row(g=1, v=8), 1)
+        out = groups.finalize_positioned()
         assert serialize(out[0]) == '<r id="1"><lo>3</lo></r>'
 
     def test_sum_over_text_raises_execution_error(self):
-        template = template_to_construct(parse_query(
-            'WHERE <i><g>$g</g><v>$v</v></i> IN "x" '
-            "CONSTRUCT <r id=$g><s>sum($v)</s></r>"
-        ).construct)
-        groups = DeltaGroups(template)
-        groups.observe(_row(g=1, v="3"))
+        template = _group_template("<r id=$g><s>sum($v)</s></r>")
+        groups = _observed(template, [_row(g=1, v="3")])
         with pytest.raises(ExecutionError, match="sum over .*'x'"):
-            groups.observe(_row(g=1, v="x"))
+            groups.observe(_row(g=1, v="x"), 1)
 
 
 # -- change scoping -----------------------------------------------------------

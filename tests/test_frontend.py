@@ -156,6 +156,67 @@ class TestLens:
             Lens(name="empty", queries={})
 
 
+class TestLensSplice:
+    """Parameter values enter a query as literals: one pass fills every
+    hole of the original text, and a value the grammar has no literal
+    for is refused by name."""
+
+    QUERY = (
+        'WHERE <c><name>$n</name><city>$c</city></c> IN "customers", '
+        "$c = {a} OR $c = {b} CONSTRUCT <customer>$n</customer>"
+    )
+
+    def lens(self, *names, query=QUERY):
+        return Lens(
+            name="l",
+            queries={"q": query},
+            parameters=tuple(LensParameter(name) for name in names),
+        )
+
+    def test_a_holding_hole_b_stays_literal(self):
+        text = self.lens("a", "b").instantiate("q", {"a": "{b}", "b": "x"})
+        assert '$c = "{b}" OR $c = "x" CONSTRUCT' in text
+
+    def test_b_holding_hole_a_stays_literal(self):
+        text = self.lens("b", "a").instantiate("q", {"a": "x", "b": "{a}"})
+        assert '$c = "x" OR $c = "{a}" CONSTRUCT' in text
+
+    def test_injection_string_cannot_widen_the_filter(self, engine):
+        server = LensServer(engine)
+        server.access.add_user("u", "p")
+        server.register(self.lens("a", "b"))
+        invocation = server.login_and_invoke(
+            "l", "q", "u", "p", params={"a": "{b}", "b": " OR $n != "}
+        )
+        assert invocation.result.elements == []  # no city has either name
+
+    def test_undeclared_hole_is_refused_when_the_lens_is_built(self):
+        with pytest.raises(LensError, match="typo"):
+            self.lens("a", "b", query=self.QUERY + " ORDER BY {typo}")
+
+    def test_optional_parameter_without_default_is_refused_by_name(self):
+        lens = Lens(
+            name="l",
+            queries={"q": self.QUERY},
+            parameters=(LensParameter("a"), LensParameter("b", required=False)),
+        )
+        with pytest.raises(LensError, match="'b'"):
+            lens.instantiate("q", {"a": "x"})
+
+    @pytest.mark.parametrize(
+        "value", [-5, -0.5, 1e300, 1e-07, float("inf"), float("nan")]
+    )
+    def test_number_without_a_literal_is_refused_by_name(self, value):
+        with pytest.raises(LensError, match="'b'"):
+            self.lens("a", "b").instantiate("q", {"a": 1, "b": value})
+
+    def test_numbers_and_booleans_splice_bare(self):
+        text = self.lens("a", "b").instantiate("q", {"a": 10, "b": 2.5})
+        assert "$c = 10 OR $c = 2.5 CONSTRUCT" in text
+        text = self.lens("a", "b").instantiate("q", {"a": True, "b": 0})
+        assert "$c = true OR $c = 0 CONSTRUCT" in text
+
+
 class TestFormatting:
     @pytest.fixture
     def elements(self):

@@ -4,21 +4,15 @@ import datetime
 
 import pytest
 
-from repro.algebra import (
-    BindingTuple,
-    BindingsSource,
-    CollectionScan,
-    Limit,
-    Plan,
-    Project,
-    Union,
-)
+from repro.algebra import CallbackScan, Limit, Plan
 from repro.core import DeviceFormatter, NimbleEngine
 from repro.core.formatting import format_result
 from repro.errors import SQLSyntaxError
 from repro.sql import Database
 from repro.xmldm import parse_element
 from repro.xmldm.values import Record
+
+from .conftest import scan
 
 
 class TestSQLCorners:
@@ -102,15 +96,15 @@ class TestSQLCorners:
 
 class TestAlgebraCorners:
     def test_limit_operator(self):
-        out = list(Limit(CollectionScan("x", range(10)), 3))
+        out = list(Limit(scan("x", range(10)), 3))
         assert [r["x"] for r in out] == [0, 1, 2]
 
     def test_limit_zero(self):
-        assert list(Limit(CollectionScan("x", range(5)), 0)) == []
+        assert list(Limit(scan("x", range(5)), 0)) == []
 
     def test_limit_negative_rejected(self):
         with pytest.raises(ValueError):
-            Limit(CollectionScan("x", []), -1)
+            Limit(scan("x", []), -1)
 
     def test_plan_stream_is_lazy(self):
         consumed = []
@@ -120,23 +114,10 @@ class TestAlgebraCorners:
                 consumed.append(i)
                 yield i
 
-        plan = Plan(CollectionScan("x", items()), "x")
+        plan = Plan(CallbackScan("x", items), "x")
         stream = plan.stream()
         next(stream)
         assert len(consumed) == 1
-
-    def test_union_of_three(self):
-        union = Union(
-            CollectionScan("x", [1]),
-            CollectionScan("x", [2]),
-            CollectionScan("x", [3]),
-        )
-        assert [r["x"] for r in union] == [1, 2, 3]
-
-    def test_project_drops_unknown(self):
-        source = BindingsSource([BindingTuple({"a": 1, "b": 2})])
-        out = list(Project(source, ["b", "zz"]))
-        assert out[0].as_dict() == {"b": 2}
 
 
 class TestFormattingCorners:

@@ -1,15 +1,22 @@
-"""Unit tests for the XML-QL dialect: lexer, parser, binder, translation."""
+"""Unit tests for the XML-QL dialect: lexer, parser, binder, planning."""
 
 import pytest
 
 from repro.errors import BindingError, QuerySyntaxError
-from repro.query import ast, bind_query, parse_query, translate_query
+from repro.query import ast, bind_query, parse_query
 from repro.query.exprs import compile_predicate, compile_value, flex_compare
 from repro.query.lexer import tokenize
 from repro.query.parser import parse_pattern
 from repro.algebra import BindingTuple
-from repro.xmldm import parse_document, serialize
-from repro.xmldm.values import NULL, Record
+from repro.core import NimbleEngine
+from repro.mediator.catalog import Catalog
+from repro.simtime import SimClock
+from repro.sources.registry import SourceRegistry
+from repro.sources.relational import RelationalSource
+from repro.sources.xmlfile import XMLSource
+from repro.sql.database import Database
+from repro.xmldm import serialize
+from repro.xmldm.values import NULL
 
 
 class TestLexer:
@@ -258,61 +265,70 @@ class TestExpressions:
 
 
 class TestTranslate:
-    def resolver(self, docs):
-        return lambda name: docs[name]
+    """Queries planned by the engine over one XML source ``x`` whose
+    documents are addressed as ``"x.<name>"``; ``"recs"`` is a
+    relational table mapped into the mediated schema."""
+
+    def engine(self, docs, records=()):
+        registry = SourceRegistry(SimClock())
+        registry.register(XMLSource("x", docs))
+        catalog = Catalog(registry)
+        if records:
+            db = Database("db")
+            db.execute("CREATE TABLE c (name TEXT, city TEXT)")
+            for name, city in records:
+                db.execute(f"INSERT INTO c VALUES ('{name}', '{city}')")
+            registry.register(RelationalSource("db", db))
+            catalog.map_relation("recs", "db", "c")
+        return NimbleEngine(catalog)
 
     def test_condition_applied_early(self):
-        doc = parse_document("<r><i><v>1</v></i><i><v>9</v></i></r>")
-        plan = translate_query(
-            'WHERE <i><v>$v</v></i> IN "d", $v > 5 CONSTRUCT <out>$v</out>',
-            self.resolver({"d": [doc]}),
-        )
-        results = plan.results()
-        assert [e.text_content() for e in results] == ["9"]
-        # the Select sits below the Construct
-        assert plan.explain().index("Construct") < plan.explain().index("Select")
+        engine = self.engine({"d": "<r><i><v>1</v></i><i><v>9</v></i></r>"})
+        query = 'WHERE <i><v>$v</v></i> IN "x.d", $v > 5 CONSTRUCT <out>$v</out>'
+        assert [e.text_content() for e in engine.query(query).elements] == ["9"]
+        # the condition travels with the scan, below the Construct
+        plan = engine.explain(query)
+        assert plan.index("Construct") < plan.index("Fragment(x: d; 1 conds")
 
     def test_join_on_shared_variable_uses_hash_join(self):
-        doc_a = parse_document("<r><i><k>1</k></i><i><k>2</k></i></r>")
-        doc_b = parse_document("<r><j><k>2</k><w>x</w></j></r>")
-        plan = translate_query(
-            'WHERE <i><k>$k</k></i> IN "a", <j><k>$k</k><w>$w</w></j> IN "b" '
-            "CONSTRUCT <m><k>$k</k><w>$w</w></m>",
-            self.resolver({"a": [doc_a], "b": [doc_b]}),
+        engine = self.engine({
+            "a": "<r><i><k>1</k></i><i><k>2</k></i></r>",
+            "b": "<r><j><k>2</k><w>x</w></j></r>",
+        })
+        query = (
+            'WHERE <i><k>$k</k></i> IN "x.a", <j><k>$k</k><w>$w</w></j> IN "x.b" '
+            "CONSTRUCT <m><k>$k</k><w>$w</w></m>"
         )
-        assert "HashJoin($k)" in plan.explain()
-        assert len(plan.results()) == 1
+        assert "HashJoin($k)" in engine.explain(query)
+        assert len(engine.query(query).elements) == 1
 
     def test_disjoint_clauses_use_nested_loop(self):
-        doc = parse_document("<r><i><v>1</v></i></r>")
-        plan = translate_query(
-            'WHERE <i><v>$v</v></i> IN "a", <i><v>$w</v></i> IN "a" '
-            "CONSTRUCT <m><v>$v</v><w>$w</w></m>",
-            self.resolver({"a": [doc]}),
+        engine = self.engine({"a": "<r><i><v>1</v></i></r>"})
+        query = (
+            'WHERE <i><v>$v</v></i> IN "x.a", <i><v>$w</v></i> IN "x.a" '
+            "CONSTRUCT <m><v>$v</v><w>$w</w></m>"
         )
-        assert "NestedLoopJoin" in plan.explain()
+        assert "NestedLoopJoin" in engine.explain(query)
 
     def test_order_by_numeric(self):
-        doc = parse_document(
-            "<r><i><v>10</v></i><i><v>9</v></i><i><v>100</v></i></r>"
+        engine = self.engine(
+            {"d": "<r><i><v>10</v></i><i><v>9</v></i><i><v>100</v></i></r>"}
         )
-        plan = translate_query(
-            'WHERE <i><v>$v</v></i> IN "d" CONSTRUCT <o>$v</o> ORDER BY $v',
-            self.resolver({"d": [doc]}),
-        )
-        assert [e.text_content() for e in plan.results()] == ["9", "10", "100"]
+        elements = engine.query(
+            'WHERE <i><v>$v</v></i> IN "x.d" CONSTRUCT <o>$v</o> ORDER BY $v'
+        ).elements
+        assert [e.text_content() for e in elements] == ["9", "10", "100"]
 
     def test_aggregates_group_by_direct_vars(self):
-        doc = parse_document(
+        engine = self.engine({"d": (
             '<s><x c="a"><v>1</v></x><x c="a"><v>3</v></x>'
             '<x c="b"><v>5</v></x></s>'
-        )
-        results = translate_query(
-            'WHERE <x c=$c><v>$v</v></x> IN "d" '
+        )})
+        results = engine.query(
+            'WHERE <x c=$c><v>$v</v></x> IN "x.d" '
             "CONSTRUCT <g k=$c><sum>sum($v)</sum><n>count($v)</n>"
-            "<avg>avg($v)</avg><lo>min($v)</lo></g>",
-            self.resolver({"d": [doc]}),
-        ).results()
+            "<avg>avg($v)</avg><lo>min($v)</lo></g>"
+        ).elements
         by_key = {e.attributes["k"]: e for e in results}
         assert by_key["a"].first_child("sum").text_content() == "4"
         assert by_key["a"].first_child("n").text_content() == "2"
@@ -320,37 +336,33 @@ class TestTranslate:
         assert by_key["b"].first_child("lo").text_content() == "5"
 
     def test_aggregate_without_group_is_global(self):
-        doc = parse_document("<s><x><v>2</v></x><x><v>40</v></x></s>")
-        results = translate_query(
-            'WHERE <x><v>$v</v></x> IN "d" '
-            "CONSTRUCT <total>sum($v)</total>",
-            self.resolver({"d": [doc]}),
-        ).results()
+        engine = self.engine({"d": "<s><x><v>2</v></x><x><v>40</v></x></s>"})
+        results = engine.query(
+            'WHERE <x><v>$v</v></x> IN "x.d" CONSTRUCT <total>sum($v)</total>'
+        ).elements
         assert len(results) == 1
         assert results[0].text_content() == "42"
 
     def test_descendant_pattern_matches_any_depth(self):
-        doc = parse_document(
+        engine = self.engine({"d": (
             "<a><wrap><x><v>deep</v></x></wrap><x><v>shallow</v></x></a>"
-        )
-        shallow_only = translate_query(
-            'WHERE <a><x><v>$v</v></x></a> IN "d" CONSTRUCT <r>$v</r>',
-            self.resolver({"d": [doc]}),
-        ).results()
+        )})
+        shallow_only = engine.query(
+            'WHERE <a><x><v>$v</v></x></a> IN "x.d" CONSTRUCT <r>$v</r>'
+        ).elements
         assert [e.text_content() for e in shallow_only] == ["shallow"]
-        both = translate_query(
-            'WHERE <a><//x><v>$v</v></x></a> IN "d" CONSTRUCT <r>$v</r>',
-            self.resolver({"d": [doc]}),
-        ).results()
+        both = engine.query(
+            'WHERE <a><//x><v>$v</v></x></a> IN "x.d" CONSTRUCT <r>$v</r>'
+        ).elements
         assert sorted(e.text_content() for e in both) == ["deep", "shallow"]
 
     def test_records_and_elements_join(self):
-        doc = parse_document("<r><b><t>X</t><who>Ann</who></b></r>")
-        records = [Record({"name": "Ann", "city": "Sea"})]
-        plan = translate_query(
-            'WHERE <b><t>$t</t><who>$n</who></b> IN "docs", '
-            '<c><name>$n</name><city>$c</city></c> IN "recs" '
-            "CONSTRUCT <m><t>$t</t><c>$c</c></m>",
-            self.resolver({"docs": [doc], "recs": records}),
+        engine = self.engine(
+            {"docs": "<r><b><t>X</t><who>Ann</who></b></r>"}, [("Ann", "Sea")]
         )
-        assert serialize(plan.results()[0]) == "<m><t>X</t><c>Sea</c></m>"
+        elements = engine.query(
+            'WHERE <b><t>$t</t><who>$n</who></b> IN "x.docs", '
+            '<c><name>$n</name><city>$c</city></c> IN "recs" '
+            "CONSTRUCT <m><t>$t</t><c>$c</c></m>"
+        ).elements
+        assert [serialize(e) for e in elements] == ["<m><t>X</t><c>Sea</c></m>"]

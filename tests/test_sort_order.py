@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.algebra.operators import (
     Limit, Select, Sort, TopK, fuse_sort_limit, sort_rows,
 )
-from repro.algebra.scans import BindingsSource
 from repro.algebra.tuples import BindingTuple
 from repro.query import ast
 from repro.query.exprs import compile_sort_key
 from repro.xmldm.values import NULL, compare_values
+
+from .conftest import Rows
 
 VARS = ["a", "b", "c"]
 
@@ -71,13 +72,13 @@ class TestDecoratedSort:
     @given(rows, key_specs)
     def test_sort_operator_matches_the_comparator(self, rows, specs):
         keys = compiled(specs)
-        sort = Sort(BindingsSource(rows), keys)
+        sort = Sort(Rows(rows), keys)
         assert list(sort) == comparator_sort(rows, keys)
 
     @given(rows, key_specs, st.integers(0, 13))
     def test_topk_is_the_sorted_prefix(self, rows, specs, count):
         keys = compiled(specs)
-        fused = fuse_sort_limit(Limit(Sort(BindingsSource(rows), keys), count))
+        fused = fuse_sort_limit(Limit(Sort(Rows(rows), keys), count))
         assert isinstance(fused, TopK)
         assert identities(list(fused)) == identities(
             comparator_sort(rows, keys)[:count]
@@ -138,15 +139,15 @@ class TestTopKFusion:
     @settings(max_examples=60, deadline=None)
     def test_fused_topk_pins_order_and_ties(self, rows, limit):
         # the fused TopK must keep the stable sort's tie order exactly
-        unfused = Limit(Sort(BindingsSource(rows), by_c()), limit)
+        unfused = Limit(Sort(Rows(rows), by_c()), limit)
         expected = materialize(unfused)
         fused = fuse_sort_limit(
-            Limit(Sort(BindingsSource(rows), by_c()), limit)
+            Limit(Sort(Rows(rows), by_c()), limit)
         )
         assert isinstance(fused, TopK)
         assert materialize(fused) == expected
 
     def test_fusion_only_rewrites_adjacent_pairs(self):
-        source = BindingsSource([BindingTuple({"a": 1})])
+        source = Rows([BindingTuple({"a": 1})])
         root = Limit(Select(Sort(source, by_c()), lambda row: True), 1)
         assert fuse_sort_limit(root) is root  # Select in between: no fusion
