@@ -36,6 +36,8 @@ from repro.algebra.construct import (
     TemplateVar,
     _numeric_or_self,
     build_elements,
+    group_rows,
+    slot_var,
 )
 from repro.algebra.grouping import _aggregate, non_numeric
 from repro.algebra.operators import SortKeys, sort_rows
@@ -90,11 +92,6 @@ def collect_aggregates(
         elif isinstance(item, ConstructTemplate):
             found.extend(collect_aggregates(item))
     return tuple(found)
-
-
-def template_group_vars(template: ConstructTemplate) -> tuple[str, ...]:
-    """The grouping key :func:`build_elements` uses."""
-    return template.direct_vars() or template.all_vars()
 
 
 def group_key(row: BindingTuple | Record, group_vars: Sequence[str]) -> tuple:
@@ -195,7 +192,7 @@ class PartialGroups:
         if not flat_template(template):
             raise ValueError("partial aggregation requires a flat template")
         self.template = template
-        self.group_vars = template_group_vars(template)
+        self.group_vars = template.group_vars
         self.aggregates = collect_aggregates(template)
         self.groups: dict[tuple, _GroupState] = {}
 
@@ -260,7 +257,7 @@ class PartialGroups:
         elements: list[Element] = []
         for state in self.groups.values():
             synthetic = {
-                _slot_var(index): _finish(item.kind, state.slots[index])
+                slot_var(index): _finish(item.kind, state.slots[index])
                 for index, item in enumerate(self.aggregates)
             }
             element = _build_one(self.template, state.representative, synthetic)
@@ -286,10 +283,6 @@ class PartialGroups:
         return total_bytes, total_values
 
 
-def _slot_var(index: int) -> str:
-    return f"__agg_{index}"
-
-
 def _finish(kind: str, slot: Any) -> Any:
     if kind == "count":
         return slot or 0
@@ -309,17 +302,14 @@ def _build_one(
 ) -> Element:
     """Build one element from a representative plus finished aggregates.
 
-    Rewrites each aggregate item into a plain variable reference bound
-    to its finished value, then reuses :func:`build_elements` on the
-    single representative row — one code path for rendering, so text
-    coercion and NULL handling can never drift from the row engine.
+    Runs the builder of the template's slot form, where each aggregate
+    item reads its finished value from a slot variable, on the single
+    representative row — one code path for rendering, so text coercion
+    and NULL handling can never drift from the row engine.
     """
-    counter = iter(range(len(finished_aggregates)))
-    rewritten = _rewrite(template, counter)
-    bindings = dict(representative.as_dict())
+    bindings = representative.as_dict()
     bindings.update(finished_aggregates)
-    built = build_elements(rewritten, [BindingTuple(bindings)])
-    return built[0]
+    return build_elements(template.slot_template, [BindingTuple(bindings)])[0]
 
 
 def slot_form(
@@ -331,12 +321,11 @@ def slot_form(
     Rows binding the grouping variables and the slot variables — shard
     partials here, a source's ``GROUP BY`` result in the planner — build
     the elements the original template builds over the member rows."""
-    aggregates = collect_aggregates(template)
     slots = tuple(
-        (item.kind, item.var, _slot_var(index))
-        for index, item in enumerate(aggregates)
+        (item.kind, item.var, slot_var(index))
+        for index, item in enumerate(collect_aggregates(template))
     )
-    return _rewrite(template, iter(range(len(aggregates)))), slots
+    return template.slot_template, slots
 
 
 def group_records(
@@ -350,11 +339,8 @@ def group_records(
     grouping values, each ``(kind, var, out_var)`` folded over the
     group's non-NULL values (coerced like template aggregates).  For a
     holder of rows standing in for a source that would have grouped."""
-    groups: dict[tuple, list[Record]] = {}
-    for record in records:
-        groups.setdefault(group_key(record, group_vars), []).append(record)
     grouped: list[Record] = []
-    for members in groups.values():
+    for members in group_rows(records, group_vars):
         fields = {var: members[0].get(var) for var in group_vars}
         for kind, var, out_var in aggregates:
             values = [member.get(var) for member in members]
@@ -363,21 +349,6 @@ def group_records(
             fields[out_var] = _aggregate(kind, values)
         grouped.append(Record(fields))
     return grouped
-
-
-def _rewrite(template: ConstructTemplate, counter) -> ConstructTemplate:
-    """Swap each aggregate (document order) for its slot variable."""
-    children: list[Any] = []
-    for item in template.children:
-        if isinstance(item, TemplateAggregate):
-            children.append(TemplateVar(_slot_var(next(counter))))
-        elif isinstance(item, ConstructTemplate):
-            children.append(_rewrite(item, counter))
-        else:
-            children.append(item)
-    return ConstructTemplate(
-        template.tag, template.attributes, tuple(children)
-    )
 
 
 def rows_wire_size(rows: list[BindingTuple]) -> tuple[int, int]:
@@ -405,6 +376,5 @@ __all__ = [
     "rows_wire_size",
     "slot_form",
     "sort_rows",
-    "template_group_vars",
     "topk_rows",
 ]

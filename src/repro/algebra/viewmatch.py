@@ -45,8 +45,8 @@ from repro.algebra.construct import (
     TemplateText,
     TemplateVar,
     build_elements,
+    group_rows,
 )
-from repro.algebra.merge import group_key, template_group_vars
 from repro.algebra.navigate import match_anywhere
 from repro.algebra.operators import Operator
 from repro.algebra.pattern import TreePattern
@@ -108,7 +108,7 @@ class FusedMatch:
             for var in self.content_vars for row in rows
         ):
             yield from match_elements(
-                self.pattern, build_elements(self.template, list(rows))
+                self.pattern, build_elements(self.template, rows)
             )
         elif self.steps is not None and rows:
             matched: list[BindingTuple] = []
@@ -123,7 +123,7 @@ class FusedMatch:
             matched.append(BindingTuple(bound))
             return
         step = self.steps[index]
-        for group in _partition(groups[step.parent + 1], step.group_vars):
+        for group in group_rows(groups[step.parent + 1], step.group_vars):
             representative = group[0]
             added: list[str] = []
             for binding in step.bindings:
@@ -143,21 +143,6 @@ class FusedMatch:
                 self._run(index + 1, groups, bound, matched)
             for var in added:
                 del bound[var]
-
-
-def _partition(rows: Sequence[BindingTuple], group_vars: tuple[str, ...]):
-    """``build_elements``' grouping: first-appearance order, model equality."""
-    if len(rows) == 1:
-        return (rows,)
-    groups: dict[tuple, list[BindingTuple]] = {}
-    for row in rows:
-        key = group_key(row, group_vars)
-        members = groups.get(key)
-        if members is None:
-            groups[key] = [row]
-        else:
-            members.append(row)
-    return groups.values()
 
 
 class _Unfusible(Exception):
@@ -217,7 +202,7 @@ def _compile(template: ConstructTemplate, pattern: TreePattern,
         ))
     index = len(steps)
     steps.append(_Step(
-        parent, template_group_vars(template), tuple(bindings),
+        parent, template.group_vars, tuple(bindings),
     ))
     for child in pattern.children:
         if child.descendant or child.tag == "*":

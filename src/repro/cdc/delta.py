@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Any
 
-from repro.algebra.construct import ConstructTemplate, _numeric_or_self
+from repro.algebra.construct import ConstructTemplate, _numeric_or_self, slot_var
 from repro.algebra.grouping import non_numeric
 from repro.algebra.merge import (
     _build_one,
@@ -35,7 +35,6 @@ from repro.algebra.merge import (
     collect_aggregates,
     flat_template,
     group_key,
-    template_group_vars,
 )
 from repro.algebra.tuples import BindingTuple
 from repro.xmldm.nodes import Element
@@ -78,7 +77,7 @@ class DeltaGroups:
                 "delta aggregation requires a flat template"
             )
         self.template = template
-        self.group_vars = template_group_vars(template)
+        self.group_vars = template.group_vars
         self.aggregates = collect_aggregates(template)
         self.groups: dict[tuple, _DeltaGroupState] = {}
 
@@ -122,7 +121,7 @@ class DeltaGroups:
 
     def _element(self, state: _DeltaGroupState, row: BindingTuple) -> Element:
         synthetic = {
-            f"__agg_{index}": _finish(item.kind, state.slots[index])
+            slot_var(index): _finish(item.kind, state.slots[index])
             for index, item in enumerate(self.aggregates)
         }
         return _build_one(self.template, row, synthetic)

@@ -56,7 +56,6 @@ from repro.optimizer.planner import PlanBuilder, independent_fragment_units
 from repro.query import ast as qast
 from repro.query.binder import bind_query
 from repro.query.parser import parse_query
-from repro.query.translate import template_to_construct
 from repro.resilience.admission import Admission, AdmissionController, Priority
 from repro.resilience.executor import ResiliencePolicy, ResilientExecutor
 from repro.resilience.fallback import FallbackRegistry
@@ -888,7 +887,7 @@ class _ExecutionContext:
             self._view_memo[view.name] = served
         if isinstance(served, ViewRows) and not rows:
             served = self._view_memo[view.name] = build_elements(
-                template_to_construct(view.query.construct), served
+                view.template, served
             )
         return served
 

@@ -61,10 +61,7 @@ class Lens:
         for query_name, text in self.queries.items():
             for hole in _HOLE.findall(text):
                 if hole not in declared:
-                    raise LensError(
-                        f"lens {self.name!r} query {query_name!r} has a hole "
-                        f"{{{hole}}} that names no declared parameter"
-                    )
+                    raise self._undeclared(query_name, hole)
 
     def resolve_parameters(self, supplied: Mapping[str, Any]) -> dict[str, Any]:
         values: dict[str, Any] = {}
@@ -101,9 +98,20 @@ class Lens:
                 f"(has {sorted(self.queries)})"
             )
         values = self.resolve_parameters(supplied)
-        return _HOLE.sub(
-            lambda hole: self._literal(hole[1], values[hole[1]]),
-            self.queries[query_name],
+
+        def fill(hole: re.Match) -> str:
+            # ``queries`` is a plain dict: a query added after the lens
+            # was built has had no hole check yet
+            if hole[1] not in values:
+                raise self._undeclared(query_name, hole[1])
+            return self._literal(hole[1], values[hole[1]])
+
+        return _HOLE.sub(fill, self.queries[query_name])
+
+    def _undeclared(self, query_name: str, hole: str) -> LensError:
+        return LensError(
+            f"lens {self.name!r} query {query_name!r} has a hole "
+            f"{{{hole}}} that names no declared parameter"
         )
 
     def _literal(self, name: str, value: Any) -> str:

@@ -33,7 +33,6 @@ from repro.algebra.merge import (
     merge_sorted,
     rows_wire_size,
     sort_rows,
-    template_group_vars,
     topk_rows,
 )
 from repro.core.engine import (
@@ -57,7 +56,6 @@ from repro.optimizer.routing import (
 )
 from repro.query import ast as qast
 from repro.query.exprs import compile_sort_key
-from repro.query.translate import template_to_construct
 from repro.resilience.admission import Priority
 from repro.simtime import TaskGroup
 from repro.sources.base import Fragment
@@ -236,12 +234,12 @@ class ShardRouter:
         priority: Priority,
     ) -> QueryResult:
         query = decomposed.bound.query
-        template = template_to_construct(query.construct)
+        template = decomposed.template
         sort_keys = [
             (compile_sort_key(spec.expr), spec.descending)
             for spec in query.order_by
         ]
-        group_vars = template_group_vars(template)
+        group_vars = template.group_vars
         required = frozenset(required_sources or ())
         completeness = Completeness()
         stats.scatter_queries += 1

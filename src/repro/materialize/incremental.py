@@ -52,7 +52,6 @@ from repro.algebra.construct import build_elements
 from repro.algebra.merge import (
     collect_aggregates,
     flat_template,
-    template_group_vars,
 )
 from repro.algebra.tuples import BindingTuple
 from repro.cdc.delta import DeltaGroups, DeltaUnsupported
@@ -67,7 +66,6 @@ from repro.materialize.policy import RefreshPolicy
 from repro.mediator.schema import ViewDef
 from repro.optimizer.decomposer import DecomposedQuery, FragmentUnit
 from repro.query.exprs import compile_predicate
-from repro.query.translate import template_to_construct
 from repro.xmldm.values import Record
 
 
@@ -267,10 +265,10 @@ class IncrementalMaterializer:
         ):
             # one scan, selects and a construct: the output is a function
             # of the base rows key by key when no group spans two keys
-            template = template_to_construct(query.construct)
+            template = decomposed.template
             if collect_aggregates(template) and flat_template(template):
                 view.mode = "groups"
-            elif units[0].key_var not in template_group_vars(template):
+            elif units[0].key_var not in template.group_vars:
                 return view
             view.template = template
             view.predicates = [

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from repro.algebra.construct import ConstructTemplate
 from repro.errors import MediationError
 from repro.query import ast as qast
 from repro.query.parser import parse_query
+from repro.query.translate import template_to_construct
 
 
 @dataclass
@@ -28,6 +31,12 @@ class ViewDef:
 
     def referenced_names(self) -> tuple[str, ...]:
         return self.query.sources
+
+    @cached_property
+    def template(self) -> ConstructTemplate:
+        """The view's CONSTRUCT template, converted once per view, so its
+        compiled builder serves every fetch of the view."""
+        return template_to_construct(self.query.construct)
 
 
 @dataclass

@@ -20,7 +20,6 @@ from repro.algebra.merge import (
     collect_aggregates,
     flat_template,
     slot_form,
-    template_group_vars,
 )
 from repro.algebra.viewmatch import FusedMatch, fuse
 from repro.errors import PlanningError
@@ -61,13 +60,9 @@ class ViewUnit:
         """The view's CONSTRUCT fused with this clause's pattern, compiled
         once per compiled query; None when only the view's elements can
         answer the clause (LIMIT counts elements, so it needs them too)."""
-        query = self.view.query
-        if query.limit is not None:
+        if self.view.query.limit is not None:
             return None
-        return fuse(
-            template_to_construct(query.construct),
-            pattern_to_tree(self.clause.pattern),
-        )
+        return fuse(self.view.template, pattern_to_tree(self.clause.pattern))
 
     def describe(self) -> str:
         return f"View({self.view.name}; vars={','.join(self.variables)})"
@@ -86,6 +81,12 @@ class DecomposedQuery:
     pushed_conditions: list[qast.Expr] = field(default_factory=list)
     #: compiled with pushdown: work the sources' profiles admit is theirs
     pushdown: bool = False
+
+    @cached_property
+    def template(self) -> ConstructTemplate:
+        """The query's CONSTRUCT template, converted once per compiled
+        query, so the plan cache keeps its compiled builder."""
+        return template_to_construct(self.bound.query.construct)
 
     @cached_property
     def grouped(self) -> tuple[FragmentUnit, ConstructTemplate] | None:
@@ -171,9 +172,9 @@ def _grouped_form(
     ):
         return None
     query = decomposed.bound.query
-    template = template_to_construct(query.construct)
+    template = decomposed.template
     aggregates = collect_aggregates(template)
-    group_vars = template_group_vars(template)
+    group_vars = template.group_vars
     # no grouping variable: SQL's global aggregate answers one row over
     # an empty input where CONSTRUCT builds no element
     if not (aggregates and group_vars and flat_template(template)):

@@ -26,7 +26,7 @@ from repro.optimizer.costs import CostModel
 from repro.optimizer.decomposer import DecomposedQuery, FragmentUnit, Unit
 from repro.query import ast as qast
 from repro.query.exprs import compile_predicate, compile_sort_key
-from repro.query.translate import pattern_to_tree, template_to_construct
+from repro.query.translate import pattern_to_tree
 from repro.xmldm.values import Null, Record
 
 
@@ -153,7 +153,7 @@ class PlanBuilder:
             unit, template = grouped
             root = self._unit_operator(unit, context)
         else:
-            template = template_to_construct(query.construct)
+            template = decomposed.template
             root = self.build_binding_tree(decomposed, context)
         if query.order_by:
             keys = [

@@ -220,10 +220,11 @@ class Element(Node):
     ):
         super().__init__()
         self.tag = tag
-        self.attributes: dict[str, str] = dict(attributes or {})
+        self.attributes: dict[str, str] = dict(attributes) if attributes else {}
         self.children: list[Node] = []
-        for child in children or ():
-            self.append(child)
+        if children:
+            for child in children:
+                self.append(child)
 
     # -- mutation ---------------------------------------------------------
 

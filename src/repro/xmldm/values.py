@@ -211,7 +211,21 @@ def typename(value: Any) -> str:
     raise TypeError(f"not a model value: {value!r}")
 
 
+_NUMBER_RANK = _TYPE_ORDER["number"]
+_STRING_RANK = _TYPE_ORDER["string"]
+
+
 def _comparison_key(value: Any) -> tuple:
+    """The value's place in the model's total order, as a tuple that
+    native comparison, hashing and sorting use directly: grouping, hash
+    joins and sorts all key on it.  Plain strings and numbers (the bulk
+    of any row) skip the :func:`typename` ladder; ``bool`` and
+    subclasses take it, so ``True`` keys apart from ``1``."""
+    cls = type(value)
+    if cls is str:
+        return (_STRING_RANK, value)
+    if cls is int or cls is float:
+        return (_NUMBER_RANK, float(value))
     kind = typename(value)
     rank = _TYPE_ORDER[kind]
     if kind == "null":

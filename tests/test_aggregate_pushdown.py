@@ -15,7 +15,6 @@ from repro.algebra.merge import (
     collect_aggregates,
     flat_template,
     group_records,
-    template_group_vars,
 )
 from repro.cdc import apply_to_fragment
 from repro.cdc.changelog import ChangeRecord
@@ -200,7 +199,7 @@ class TestPushedStatement:
         assert flat_template(template)
         unit, rewritten = deployment.engine._compile(BY_A).grouped
         grouping = unit.fragment.grouping
-        assert grouping.group_vars == template_group_vars(template)
+        assert grouping.group_vars == template.group_vars
         assert [(kind, var) for kind, var, _ in grouping.aggregates] == [
             (item.kind, item.var) for item in collect_aggregates(template)
         ]

@@ -194,6 +194,12 @@ class TestLensSplice:
         with pytest.raises(LensError, match="typo"):
             self.lens("a", "b", query=self.QUERY + " ORDER BY {typo}")
 
+    def test_undeclared_hole_added_after_build_is_refused_by_name(self):
+        lens = self.lens("a", "b")
+        lens.queries["r"] = self.QUERY + " ORDER BY {typo}"
+        with pytest.raises(LensError, match="typo"):
+            lens.instantiate("r", {"a": "x", "b": "y"})
+
     def test_optional_parameter_without_default_is_refused_by_name(self):
         lens = Lens(
             name="l",
@@ -294,3 +300,95 @@ class TestLoadBalancing:
             EngineCluster(engine, instances=0)
         with pytest.raises(PlanningError):
             EngineCluster(engine, strategy="bogus")
+
+
+try:
+    from hypothesis import given, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
+
+
+def _swap_literals(node, replace):
+    """``node`` rebuilt with every ``Literal`` passed through ``replace``."""
+    from dataclasses import fields, is_dataclass, replace as rebuild
+
+    from repro.query import ast
+
+    if isinstance(node, ast.Literal):
+        return replace(node)
+    if isinstance(node, tuple):
+        return tuple(_swap_literals(item, replace) for item in node)
+    if isinstance(node, list):
+        return [_swap_literals(item, replace) for item in node]
+    if is_dataclass(node) and not isinstance(node, type):
+        changes = {
+            field.name: _swap_literals(getattr(node, field.name), replace)
+            for field in fields(node) if field.init
+        }
+        return rebuild(node, **changes)
+    return node
+
+
+def _literal_types(node) -> list:
+    """(type, value) of every ``Literal``, so ``True`` and ``1`` differ."""
+    found: list = []
+
+    def note(literal):
+        found.append((type(literal.value), literal.value))
+        return literal
+
+    _swap_literals(node, note)
+    return found
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestLensSpliceProperty:
+    """Whatever a parameter holds, the instantiated text parses to the
+    template's own AST, except that the ``Literal`` at each hole holds
+    the supplied value."""
+
+    TEMPLATES = (
+        'WHERE <c><name>$n</name><city>$c</city></c> IN "customers", '
+        "$c = {a} OR $n = {b} CONSTRUCT <customer>$n</customer>",
+        'WHERE <c><name>$n</name><city>$c</city></c> IN "customers", '
+        "$n != {b}, $c = {a}, $c != {a} CONSTRUCT <customer>$n</customer>",
+    )
+
+    if HAVE_HYPOTHESIS:
+        VALUES = st.one_of(
+            st.lists(st.sampled_from(
+                ['"', "\\", "{", "}", "a", "b", "$", "n", " ", "OR",
+                 "{a}", "{b}", "{typo}", "'", "<", ">", "=", "é", "\n"]
+            )).map("".join),
+            st.text(),
+            st.integers(min_value=0, max_value=10**30),
+            st.booleans(),
+        )
+
+        @given(template=st.sampled_from(TEMPLATES), a=VALUES, b=VALUES)
+        def test_holes_hold_only_their_values(self, template, a, b):
+            from repro.core.lens import _HOLE
+            from repro.query import ast
+            from repro.query.parser import parse_query
+
+            lens = Lens(
+                name="l", queries={"q": template},
+                parameters=(LensParameter("a"), LensParameter("b")),
+            )
+            supplied = {"a": a, "b": b}
+            holes = _HOLE.findall(template)
+            # neutral values: hole i is the numeral i, so each Literal of
+            # the neutral parse says which hole it came from
+            neutral = iter(range(len(holes)))
+            neutral_ast = parse_query(
+                _HOLE.sub(lambda _hole: str(next(neutral)), template)
+            )
+            expected = _swap_literals(
+                neutral_ast,
+                lambda literal: ast.Literal(supplied[holes[literal.value]]),
+            )
+            got = parse_query(lens.instantiate("q", supplied))
+            assert got == expected
+            assert _literal_types(got) == _literal_types(expected)
