@@ -124,6 +124,10 @@ def _match_element(
         if extended is None:
             return
         current = extended
+    if pattern.text_var is None and pattern.text_literal is None:
+        # nothing reads the text: skip concatenating the whole subtree
+        yield from _match_children(pattern.children, element, current)
+        return
     for bound in _bind_content(pattern, element.text_content(), element, current):
         yield from _match_children(pattern.children, element, bound)
 

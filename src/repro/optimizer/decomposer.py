@@ -325,17 +325,30 @@ def _merge_same_source(units: list[Unit]) -> list[Unit]:
 def _push_conditions(
     units: list[Unit], conditions: list[qast.Expr], pushed_out: list[qast.Expr]
 ) -> list[qast.Expr]:
-    """Push each condition into the one fragment that can take it."""
+    """Push each condition into the first fragment that can take it.
+
+    A fragment takes a condition when it binds every variable the
+    condition reads and its source's profile admits the condition
+    (:meth:`CapabilityProfile.admit_condition`), possibly rewritten to
+    say the same thing under the source's comparison rules.
+    """
     residual: list[qast.Expr] = []
+    types: dict[int, dict[str, str]] = {}
     for condition in conditions:
         needed = qast.expr_variables(condition)
-        home = None
+        home = admitted = None
         for unit in units:
             if not isinstance(unit, FragmentUnit):
                 continue
             if unit.dependent:
                 continue  # parameterized endpoints take no selections
-            if needed <= set(unit.variables) and unit.source.capabilities.accepts_condition(condition):
+            if not needed <= set(unit.variables):
+                continue
+            profile = unit.source.capabilities
+            if profile.typed_comparisons and id(unit) not in types:
+                types[id(unit)] = _column_types(unit)
+            admitted = profile.admit_condition(condition, types.get(id(unit), {}))
+            if admitted is not None:
                 home = unit
                 break
         if home is None:
@@ -343,7 +356,7 @@ def _push_conditions(
         else:
             home.fragment = replace(
                 home.fragment,
-                conditions=home.fragment.conditions + (condition,),
+                conditions=home.fragment.conditions + (admitted,),
             )
             pushed_out.append(condition)
     return residual

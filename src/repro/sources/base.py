@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -14,7 +15,7 @@ from repro.observability.tracing import NULL_TRACER, Tracer
 from repro.query import ast as qast
 from repro.simtime import SimClock
 from repro.xmldm.schema import RecordType
-from repro.xmldm.values import Record
+from repro.xmldm.values import Record, typename
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,10 @@ class CapabilityProfile:
     condition_ops: frozenset[str] = frozenset(
         {"=", "!=", "<", "<=", ">", ">=", "AND", "OR", "LIKE"}
     )
+    #: the source compares with SQL's typed rules
+    #: (:func:`repro.sql.types.sql_compare`), not the mediator's; it is
+    #: sent only conditions both rules answer alike (:meth:`admit_condition`)
+    typed_comparisons: bool = False
 
     def accepts_condition(self, expr: qast.Expr) -> bool:
         """Conservative test: only operator trees over vars and literals."""
@@ -151,6 +156,91 @@ class CapabilityProfile:
         if isinstance(expr, qast.Not):
             return self.accepts_condition(expr.operand)
         return False  # function calls stay at the engine
+
+    def admit_condition(
+        self, expr: qast.Expr, types: Mapping[str, str]
+    ) -> qast.Expr | None:
+        """``expr`` as the source should receive it, or None to keep it
+        at the mediator.
+
+        A pushed condition must mean what the mediator's evaluation
+        means, or the same query answers differently with and without
+        pushdown.  For a ``typed_comparisons`` source, ``types`` maps
+        each variable to its column's model type, and a comparison is
+        admitted only where both rules agree on its operands:
+
+        * number against number, string against string, boolean against
+          boolean, date against date;
+        * a numeric-string literal against a number becomes that number
+          here, at plan time — the coercion the mediator applies per row;
+        * ``LIKE`` only between strings (SQL would match a number's
+          text; the mediator never matches a non-string).
+
+        Everything else stays a residual: a string column against a
+        number (the mediator coerces each row's string), any other mix
+        (SQL raises), ``NOT`` (SQL's unknown stays unknown under
+        negation; the mediator's false comparison turns true) and a bare
+        operand (the two truthiness rules differ).
+        """
+        if not self.accepts_condition(expr):
+            return None
+        if not self.typed_comparisons:
+            return expr
+        return _typed_condition(expr, types)
+
+
+_TYPED_KINDS = frozenset({"number", "string", "boolean", "date"})
+
+
+def _typed_condition(expr: qast.Expr, types: Mapping[str, str]) -> qast.Expr | None:
+    """:meth:`CapabilityProfile.admit_condition` for a typed source."""
+    if not isinstance(expr, qast.BinOp):
+        return None
+    if expr.op in ("AND", "OR"):
+        left = _typed_condition(expr.left, types)
+        right = _typed_condition(expr.right, types)
+        if left is None or right is None:
+            return None
+        return _rebuilt(expr, left, right)
+    left, left_kind = expr.left, _operand_kind(expr.left, types)
+    right, right_kind = expr.right, _operand_kind(expr.right, types)
+    if expr.op == "LIKE":
+        agreeing = left_kind == right_kind == "string"
+    else:
+        if left_kind == "number":
+            right, right_kind = _numeric_literal(right, right_kind)
+        elif right_kind == "number":
+            left, left_kind = _numeric_literal(left, left_kind)
+        agreeing = left_kind == right_kind and left_kind in _TYPED_KINDS
+    return _rebuilt(expr, left, right) if agreeing else None
+
+
+def _rebuilt(expr: qast.BinOp, left: qast.Expr, right: qast.Expr) -> qast.BinOp:
+    if left is expr.left and right is expr.right:
+        return expr
+    return replace(expr, left=left, right=right)
+
+
+def _operand_kind(expr: qast.Expr, types: Mapping[str, str]) -> str | None:
+    if isinstance(expr, qast.Var):
+        return types.get(expr.name)
+    if isinstance(expr, qast.Literal):
+        return typename(expr.value)
+    return None  # a nested comparison: its truth value has no column type
+
+
+def _numeric_literal(expr: qast.Expr, kind: str | None) -> tuple[qast.Expr, str | None]:
+    """A string literal the mediator would read as a number, as that
+    number (``flex_compare``'s ``float``); anything else unchanged."""
+    if kind != "string" or not isinstance(expr, qast.Literal):
+        return expr, kind
+    try:
+        number = float(expr.value)
+    except ValueError:
+        return expr, kind
+    if not math.isfinite(number):
+        return expr, kind  # inf and nan have no SQL literal
+    return qast.Literal(number), "number"
 
 
 def _wire_bytes(value: Any) -> int:

@@ -37,6 +37,7 @@ class RelationalSource(DataSource):
         joins=True,
         aggregates=True,
         parameterized=True,
+        typed_comparisons=True,
     )
 
     def __init__(

@@ -51,6 +51,15 @@ class Node:
         """Deterministic digest of this node's entire subtree."""
         raise NotImplementedError
 
+    @property
+    def cached_subtree_hash(self) -> str | None:
+        """The memoized subtree hash, or None once a mutation dropped it.
+
+        Reading it costs nothing, so a holder of derived state (the XML
+        wrapper's shredded tables) can check it on every use.
+        """
+        return self._subtree_hash
+
     def _invalidate_subtree_hash(self) -> None:
         """Drop cached hashes from here up to the root.
 
@@ -112,7 +121,11 @@ class Text(Node):
     __slots__ = ("value",)
 
     def __init__(self, value: str):
-        super().__init__()
+        # slots set here, not through Node.__init__: result trees make
+        # thousands of these per query and the call is measurable
+        self.parent = None
+        self.document_order = -1
+        self._subtree_hash = None
         self.value = value
 
     def set_value(self, value: str) -> None:
@@ -218,7 +231,9 @@ class Element(Node):
         attributes: dict[str, str] | None = None,
         children: Iterable[Node | str] | None = None,
     ):
-        super().__init__()
+        self.parent = None  # slots set directly, as in Text
+        self.document_order = -1
+        self._subtree_hash = None
         self.tag = tag
         self.attributes: dict[str, str] = dict(attributes) if attributes else {}
         self.children: list[Node] = []

@@ -66,6 +66,18 @@ class Record:
         if len(self._fields) != len(items):
             raise ValueError("duplicate field names in Record")
 
+    @classmethod
+    def adopt(cls, fields: dict[str, Any]) -> "Record":
+        """Wrap ``fields`` without copying it.
+
+        The caller hands the dict over and must not mutate it afterwards;
+        a dict's names are unique by construction.  Bulk producers (the
+        XML wrapper's shredded path) use it to skip the defensive copy.
+        """
+        record = cls.__new__(cls)
+        record._fields = fields
+        return record
+
     @property
     def fields(self) -> tuple[str, ...]:
         return tuple(self._fields)
